@@ -153,7 +153,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except EstimatorFailureError as exc:
         coords = f" at (round, step, perturbation)={exc.coords}" if exc.coords else ""
-        print(f"estimator failure: {exc}{coords}", file=sys.stderr)
+        client = f" on client {exc.client}" if exc.client is not None else ""
+        print(f"estimator failure: {exc}{client}{coords}", file=sys.stderr)
         return EXIT_RUNTIME
     except ScalarFedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ class DiagHessian:
             raise CurvatureError(
                 f"need 0 < beta_lower <= beta_upper, got ({self.beta_lower}, {self.beta_upper})"
             )
-        if np.any(diag < self.beta_lower) or np.any(diag > self.beta_upper):
+        if not np.all((diag >= self.beta_lower) & (diag <= self.beta_upper)):
             raise CurvatureError("diagonal violates its clipping bounds")
 
     @property
@@ -61,22 +61,31 @@ class DiagHessian:
         return cls(diag=np.ones(dim), **kwargs)
 
 
-def ema_update(hessian: DiagHessian, delta: np.ndarray) -> DiagHessian:
+def ema_update(hessian: DiagHessian, delta: np.ndarray, out=None, work=None):
     """One EMA step on the squared global delta of a single local step.
 
     diag' = clip((1 - nu) * diag + nu * (delta^2 + eps), beta_lower, beta_upper)
+
+    Returns a new DiagHessian; given a running diagonal `out` and a scratch
+    `work`, advances `out` in place instead and returns it unvalidated.
     """
     if delta.shape != hessian.diag.shape:
         raise InvalidDimensionError(
             f"delta has shape {delta.shape}, curvature diagonal has shape {hessian.diag.shape}"
         )
-    updated = (1.0 - hessian.nu) * hessian.diag + hessian.nu * (delta * delta + hessian.epsilon)
-    return replace(hessian, diag=np.clip(updated, hessian.beta_lower, hessian.beta_upper))
+    step = np.multiply(delta, delta, out=work, dtype=np.float64)
+    step += hessian.epsilon
+    step *= hessian.nu
+    updated = np.multiply(hessian.diag if out is None else out, 1.0 - hessian.nu, out=out)
+    updated += step
+    np.clip(updated, hessian.beta_lower, hessian.beta_upper, out=updated)
+    return updated if out is not None else replace(hessian, diag=updated)
 
 
-def inv_sqrt(hessian: DiagHessian) -> np.ndarray:
-    """Elementwise 1/sqrt(diag); values lie in [beta_upper^-1/2, beta_lower^-1/2]."""
-    return 1.0 / np.sqrt(hessian.diag)
+def inv_sqrt(hessian, out=None) -> np.ndarray:
+    """Elementwise 1/sqrt(diag) of a DiagHessian or a bare diagonal, into `out`
+    if given; values lie in [beta_upper^-1/2, beta_lower^-1/2]."""
+    return np.divide(1.0, np.sqrt(getattr(hessian, "diag", hessian), out=out), out=out)
 
 
 @dataclass(frozen=True)

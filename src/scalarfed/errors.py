@@ -21,13 +21,14 @@ class EstimatorFailureError(ScalarFedError):
     """A loss evaluation produced a non-finite value inside the gradient estimator.
 
     Carries enough context (which evaluation, and the (round, step, perturbation)
-    coordinates when raised inside a federated run) to locate the failure.
+    coordinates and client id inside a federated run) to locate the failure.
     """
 
-    def __init__(self, message, which=None, coords=None):
+    def __init__(self, message, which=None, coords=None, client=None):
         super().__init__(message)
         self.which = which      # "base" or "perturbed"
         self.coords = coords    # (round, step, perturbation) or None
+        self.client = client    # client id or None
 
 
 class ProtocolOrderError(ScalarFedError):

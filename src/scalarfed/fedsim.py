@@ -5,10 +5,12 @@ global scalar history it missed (Rebuild), bringing its model and curvature
 replica bitwise equal to the server state; it then runs tau local steps along
 shared seed-derived directions, collecting tau x P LOCAL gradient scalars,
 and resets its model to the round-start value; the server averages the
-scalar matrices, reconstructs the global per-step deltas, advances the
-model and the curvature EMA, and appends the round log to the ledger.
+scalar matrices, advances the model and the curvature EMA, and appends the
+round log to the ledger.
 
-Everything that must agree across parties goes through shared helpers
+Rebuild, aggregation and the fixed-order oracle all advance state through one
+replay kernel, in place on private copies, with the curvature validated once
+at the kernel boundary. It and the local update share the helpers
 (scale_direction, multi_perturbation_delta, ema_update) with fixed fold
 orders: ascending client id, ascending local step, ascending perturbation.
 That discipline is what makes replay, rebuild and the full-vector oracle
@@ -50,25 +52,28 @@ class RoundConfig:
     cost_model: WireCostModel = field(default_factory=WireCostModel)
 
     def validate(self):
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}", field="M")
-        if not 1 <= self.sampled_per_round <= self.num_clients:
-            raise ConfigError(
-                f"sampled_per_round must lie in [1, {self.num_clients}], got {self.sampled_per_round}",
-                field="m",
-            )
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}", field="tau")
-        if self.perturbations < 1:
-            raise ConfigError(f"perturbations must be >= 1, got {self.perturbations}", field="P")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}", field="eta")
-        if not self.mu > 0:
-            raise ConfigError(f"mu must be positive, got {self.mu}", field="mu")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}", field="R")
-        if self.algorithm not in ("hiso", "decomfl"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}", field="algorithm")
+        # (spec field, attribute, holds, requirement), checked in this order
+        checks = (
+            ("M", "num_clients", self.num_clients >= 1, ">= 1"),
+            ("m", "sampled_per_round", 1 <= self.sampled_per_round <= self.num_clients, "in [1, M]"),
+            ("tau", "tau", self.tau >= 1, ">= 1"),
+            ("P", "perturbations", self.perturbations >= 1, ">= 1"),
+            ("eta", "eta", 0 < self.eta < np.inf, "positive and finite"),
+            ("mu", "mu", 0 < self.mu < np.inf, "positive and finite"),
+            ("R", "rounds", self.rounds >= 1, ">= 1"),
+            ("algorithm", "algorithm", self.algorithm in ("hiso", "decomfl"), "hiso or decomfl"),
+            ("nu", "nu", 0 <= self.nu <= 1, "in [0, 1]"),
+            ("epsilon", "epsilon", self.epsilon > 0, "positive"),
+            # the identity start needs 1 inside the clipping bounds
+            ("beta_lower", "beta_lower", 0 < self.beta_lower <= 1, "in (0, 1]"),
+            ("beta_upper", "beta_upper", self.beta_upper >= 1, ">= 1"),
+            ("root_seed", "root_seed", 0 <= self.root_seed < 2**64, "in [0, 2**64)"),
+            ("sampling_seed", "sampling_seed", 0 <= self.sampling_seed < 2**64, "in [0, 2**64)"),
+        )
+        for name, attr, holds, requirement in checks:
+            if not holds:
+                raise ConfigError(f"{attr} must be {requirement}, got {getattr(self, attr)!r}",
+                                  field=name)
         schedule = self.schedule()
         schedule.validate_grid(self.rounds, self.tau, self.perturbations)
         return self
@@ -142,23 +147,23 @@ def _quantize(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
-def _apply_round(model, hessian, scalars, r, provider, eta):
-    """Advance (model, H) through one recorded round of global scalars.
-
-    The single code path for this recursion: the server runs it at
-    aggregation time, every rebuilding client runs it at replay time, and
-    the vector oracle runs it in fixed-order mode. Directions use the
-    round-start curvature (frozen within the round); the EMA advances once
-    per local step and only becomes visible to the next round.
-    """
-    isH = inv_sqrt(hessian)
-    tau, P = scalars.shape
-    for k in range(tau):
-        zs = [scale_direction(provider.u(r, k, p), isH) for p in range(P)]
-        delta = multi_perturbation_delta(scalars[k], zs)
-        model = model - eta * delta
-        hessian = ema_update(hessian, delta)
-    return model, hessian
+def _replay(model, hessian, logs, provider, eta):
+    """Advance (model, H) through recorded rounds of global scalars, in place
+    on private copies with scratch allocated once per call; the curvature is
+    validated once, at the end. Directions use the round-start curvature; the
+    EMA advances once per local step and shows only from the next round on."""
+    model, diag = model.copy(), hessian.diag.copy()
+    isH, delta, work = (np.empty_like(diag) for _ in range(3))
+    zs = [np.empty_like(diag) for _ in range(logs[0].scalars.shape[1])] if logs else []
+    for log in logs:
+        inv_sqrt(diag, out=isH)
+        for k, scalars in enumerate(log.scalars):
+            for p, z in enumerate(zs):
+                scale_direction(provider.u(log.round, k, p), isH, out=z)
+            multi_perturbation_delta(scalars, zs, out=delta, work=work)
+            model -= np.multiply(delta, eta, out=work)
+            ema_update(hessian, delta, out=diag, work=work)
+    return model, replace(hessian, diag=diag)
 
 
 def client_rebuild(client: ClientState, missed, eta: float,
@@ -169,16 +174,12 @@ def client_rebuild(client: ClientState, missed, eta: float,
     equal to the server values for the current round: replay runs the exact
     arithmetic the server ran, on the exact values the ledger stored.
     """
-    expected = client.last_round
-    model, hessian = client.model, client.hessian
-    for log in missed:
+    for expected, log in enumerate(missed, start=client.last_round):
         if log.round != expected:
-            raise ProtocolOrderError(
-                f"rebuild feed has round {log.round}, expected {expected}"
-            )
-        model, hessian = _apply_round(model, hessian, log.scalars, log.round, provider, eta)
-        expected += 1
-    return replace(client, model=model, hessian=hessian, last_round=expected)
+            raise ProtocolOrderError(f"rebuild feed has round {log.round}, expected {expected}")
+    model, hessian = _replay(client.model, client.hessian, missed, provider, eta)
+    return replace(client, model=model, hessian=hessian,
+                   last_round=client.last_round + len(missed))
 
 
 def client_local_update(client: ClientState, r: int, config: RoundConfig,
@@ -199,7 +200,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
         if not np.isfinite(base):
             raise EstimatorFailureError(
                 f"client {client.id} base loss diverged at round {r}, step {k}",
-                which="base", coords=(r, k, None),
+                which="base", coords=(r, k, None), client=client.id,
             )
         zs = []
         for p in range(config.perturbations):
@@ -210,7 +211,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                 raise EstimatorFailureError(
                     f"client {client.id} perturbed loss diverged at round {r}, "
                     f"step {k}, perturbation {p}",
-                    which="perturbed", coords=(r, k, p),
+                    which="perturbed", coords=(r, k, p), client=client.id,
                 )
             scalars[k, p] = (perturbed - base) / mu
         x = x - config.eta * multi_perturbation_delta(scalars[k], zs)
@@ -241,9 +242,7 @@ def server_aggregate(server: ServerState, matrices, r: int, config: RoundConfig,
             raise ProtocolOrderError(f"scalar matrix shape {mat.shape} != {shape}")
     global_scalars = aggregate_scalars(matrices, quantize=config.quantize_wire)
     log = RoundLog(round=r, scalars=global_scalars)
-    model, hessian = _apply_round(
-        server.model, server.hessian, global_scalars, r, provider, config.eta
-    )
+    model, hessian = _replay(server.model, server.hessian, [log], provider, config.eta)
     return log, model, hessian
 
 
@@ -378,9 +377,8 @@ def vector_oracle_run(config: RoundConfig, task, fixed_order: bool = True,
             matrices.append(client_local_update(handed, r, config, task, provider))
             evals += config.tau * (config.perturbations + 1)
         if fixed_order:
-            global_scalars = aggregate_scalars(matrices, quantize=False)
-            model, hessian = _apply_round(model, hessian, global_scalars, r,
-                                          provider, config.eta)
+            log = RoundLog(round=r, scalars=aggregate_scalars(matrices, quantize=False))
+            model, hessian = _replay(model, hessian, [log], provider, config.eta)
         else:
             isH = inv_sqrt(hessian)
             for k in range(config.tau):

@@ -49,11 +49,11 @@ def rge_scalar(loss, x, z, mu: float, batch=None) -> float:
     return (perturbed - base) / mu
 
 
-def scale_direction(u: np.ndarray, inv_sqrt_diag: np.ndarray) -> np.ndarray:
-    """Elementwise u / sqrt(H). Single shared expression: every code path that
-    turns a raw normal vector into a preconditioned direction must produce
-    bitwise-identical floats, or ledger replay breaks."""
-    return u * inv_sqrt_diag
+def scale_direction(u: np.ndarray, inv_sqrt_diag: np.ndarray, out=None) -> np.ndarray:
+    """Elementwise u / sqrt(H), into `out` if given. Single shared expression:
+    every code path that turns a raw normal vector into a preconditioned
+    direction must produce bitwise-identical floats, or ledger replay breaks."""
+    return np.multiply(u, inv_sqrt_diag, out=out)
 
 
 def hessian_informed_direction(hessian, u: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def hessian_informed_direction(hessian, u: np.ndarray) -> np.ndarray:
     diag = np.asarray(hessian.diag if hasattr(hessian, "diag") else hessian, dtype=np.float64)
     if diag.shape != u.shape:
         raise InvalidDimensionError(f"H has shape {diag.shape}, u has shape {u.shape}")
-    if np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise CurvatureError("curvature diagonal must be strictly positive")
     return scale_direction(u, 1.0 / np.sqrt(diag))
 
@@ -71,18 +71,19 @@ def step_delta(g: float, z: np.ndarray) -> np.ndarray:
     return g * z
 
 
-def multi_perturbation_delta(scalars, directions) -> np.ndarray:
+def multi_perturbation_delta(scalars, directions, out=None, work=None) -> np.ndarray:
     """Mean of P rank-one steps, accumulated in ascending perturbation order.
 
     The fixed accumulation order is part of the wire contract: server and
     rebuilding clients must fold identically for bit-reproducibility. P = 1
-    reduces exactly to step_delta (the final /1.0 is lossless).
+    reduces exactly to step_delta (the final /1.0 is lossless). Given `out`
+    and a scratch `work`, it allocates nothing.
     """
     if len(scalars) == 0 or len(scalars) != len(directions):
         raise InvalidDimensionError(
             f"need equal, nonzero arity, got {len(scalars)} scalars and {len(directions)} directions"
         )
-    acc = scalars[0] * directions[0]
+    acc = np.multiply(scalars[0], directions[0], out=out, dtype=np.float64)
     for p in range(1, len(scalars)):
-        acc = acc + scalars[p] * directions[p]
-    return acc / len(scalars)
+        acc += np.multiply(scalars[p], directions[p], out=work)
+    return np.divide(acc, len(scalars), out=acc)

@@ -18,6 +18,11 @@ def test_invariants_enforced_at_construction():
         DiagHessian(diag=np.full(2, 10.0), beta_upper=5.0)
 
 
+def test_nan_diagonal_rejected_at_construction():
+    with pytest.raises(CurvatureError):
+        DiagHessian(diag=np.array([1.0, np.nan]))
+
+
 def test_ema_nu_zero_is_identity():
     H = DiagHessian(diag=np.array([2.0, 3.0]), nu=0.0)
     out = ema_update(H, np.array([100.0, -50.0]))
@@ -37,6 +42,11 @@ def test_ema_clipping_invariant_under_random_updates():
     for t in range(1000):
         H = ema_update(H, 3.0 * gaussian_vector(mix(42, t), 8))
         assert np.all(H.diag >= 0.5) and np.all(H.diag <= 2.0)
+
+
+def test_ema_integer_delta_gives_float_diagonal():
+    H = DiagHessian(diag=np.ones(2), nu=0.5, epsilon=0.5)
+    assert np.array_equal(ema_update(H, np.array([1, 0])).diag, [1.25, 0.75])
 
 
 def test_ema_dimension_mismatch():

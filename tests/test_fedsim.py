@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scalarfed import (ClientState, DirectionProvider, QuadraticTask,
-                       RoundConfig, client_local_update, client_rebuild,
-                       fetch_since, run_training, sample_clients, vector_oracle_run)
-from scalarfed.errors import ConfigError, ProtocolOrderError
-from scalarfed.fedsim import aggregate_scalars
-from scalarfed.ledger import RoundLog
+                       RoundConfig, ServerState, client_local_update, client_rebuild,
+                       fetch_since, gaussian_vector, run_training, sample_clients,
+                       server_aggregate, vector_oracle_run)
+from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
+from scalarfed.fedsim import _replay, aggregate_scalars
+from scalarfed.ledger import CommMeter, Ledger, RoundLog
+from scalarfed.rng import mix
 
 
 def small_config(**over):
@@ -307,8 +311,145 @@ def test_estimator_failure_carries_coordinates():
             return 1.0
 
     cfg = small_config(rounds=2).validate()
-    from scalarfed.errors import EstimatorFailureError
-
     with pytest.raises(EstimatorFailureError) as err:
         run_training(cfg, Exploding())
     assert err.value.coords == (0, 0, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu", 2.0), ("nu", -0.1), ("epsilon", 0.0), ("beta_lower", 5.0),
+    ("beta_lower", 0.0), ("beta_upper", 0.5), ("eta", np.inf), ("eta", np.nan),
+    ("mu", np.inf), ("root_seed", -1), ("root_seed", 2**64), ("sampling_seed", -1),
+])
+def test_config_rejects_curvature_step_and_seed_fields(field, value):
+    with pytest.raises(ConfigError) as err:
+        small_config(**{field: value}).validate()
+    assert err.value.field == field
+
+
+def test_estimator_failure_carries_client_id():
+    task = small_task()
+
+    class ExplodingForClientThree:
+        dim = task.dim
+        num_clients = task.num_clients
+        x0 = task.x0
+
+        def draw_batch(self, client, r, k, schedule):
+            return None
+
+        def client_loss(self, client, x, batch=None):
+            return np.nan if client == 3 else 1.0
+
+    cfg = small_config().validate()
+    provider = DirectionProvider(cfg.schedule(), task.dim)
+    client = ClientState(id=3, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
+    with pytest.raises(EstimatorFailureError) as err:
+        client_local_update(client, 2, cfg, ExplodingForClientThree(), provider)
+    assert err.value.client == 3
+    assert err.value.coords == (2, 0, None)
+
+
+# --- the replay kernel ----------------------------------------------------------
+
+KERNEL_GRID = [(tau, P, nu) for tau in (1, 3) for P in (1, 4) for nu in (0.0, 0.05, 1.0)]
+
+
+def reference_round(model, hessian, scalars, r, provider, eta):
+    """One round of the recursion written out of place, step by step."""
+    isH = 1.0 / np.sqrt(hessian.diag)
+    diag = hessian.diag
+    for k in range(scalars.shape[0]):
+        zs = [provider.u(r, k, p) * isH for p in range(scalars.shape[1])]
+        acc = scalars[k][0] * zs[0]
+        for p in range(1, len(zs)):
+            acc = acc + scalars[k][p] * zs[p]
+        delta = acc / len(zs)
+        model = model - eta * delta
+        diag = np.clip((1.0 - hessian.nu) * diag + hessian.nu * (delta * delta + hessian.epsilon),
+                       hessian.beta_lower, hessian.beta_upper)
+    return model, diag
+
+
+def kernel_setup(tau, P, nu, quantize=True):
+    # bounds close to 1, so that the EMA clips some coordinates at each bound
+    dim = 256
+    cfg = small_config(tau=tau, perturbations=P, nu=nu, beta_lower=0.97, beta_upper=1.5,
+                       eta=0.1, quantize_wire=quantize).validate()
+    provider = DirectionProvider(cfg.schedule(), dim)
+    hessian = replace(cfg.initial_hessian(dim),
+                      diag=np.clip(1.0 + 0.1 * gaussian_vector(mix(7, 0), dim), 0.97, 1.5))
+    server = ServerState(model=gaussian_vector(mix(7, 1), dim), hessian=hessian,
+                         ledger=Ledger(num_clients=cfg.num_clients), meter=CommMeter())
+    return cfg, provider, server
+
+
+def uploads(cfg, r):
+    """Scalar matrices large enough that delta^2 crosses the upper bound on
+    some coordinates, while coordinates near zero stay under the lower one."""
+    shape = (cfg.tau, cfg.perturbations)
+    return [10 * gaussian_vector(mix(8, r, i), shape[0] * shape[1]).reshape(shape)
+            for i in range(cfg.sampled_per_round)]
+
+
+@pytest.mark.parametrize("tau, P, nu", KERNEL_GRID)
+def test_replay_kernel_matches_out_of_place_reference(tau, P, nu):
+    cfg, provider, server = kernel_setup(tau, P, nu)
+    log, model, hessian = server_aggregate(server, uploads(cfg, 0), 0, cfg, provider)
+    assert np.array_equal(log.scalars, log.scalars.astype(np.float32))  # 32-bit wire
+    ref_model, ref_diag = reference_round(server.model, server.hessian, log.scalars, 0,
+                                          provider, cfg.eta)
+    assert model.tobytes() == ref_model.tobytes()
+    assert hessian.diag.tobytes() == ref_diag.tobytes()
+    if nu > 0:
+        at_lower, at_upper = hessian.diag == 0.97, hessian.diag == 1.5
+        assert np.any(at_lower) and np.any(at_upper) and not np.all(at_lower | at_upper)
+
+
+@pytest.mark.parametrize("tau, P, nu", KERNEL_GRID)
+def test_replay_kernel_multi_round_equals_round_by_round(tau, P, nu):
+    cfg, provider, server = kernel_setup(tau, P, nu, quantize=False)
+    logs = [RoundLog(round=r, scalars=aggregate_scalars(uploads(cfg, r))) for r in range(4)]
+    model, hessian = server.model, server.hessian
+    for log in logs:
+        model, hessian = _replay(model, hessian, [log], provider, cfg.eta)
+    whole_model, whole_hessian = _replay(server.model, server.hessian, logs, provider, cfg.eta)
+    assert whole_model.tobytes() == model.tobytes()
+    assert whole_hessian.diag.tobytes() == hessian.diag.tobytes()
+
+
+def test_replay_leaves_caller_arrays_untouched():
+    cfg = small_config(rounds=6).validate()
+    task = small_task()
+    result = run_training(cfg, task, keep_models=True)
+    server, provider = result.server, DirectionProvider(cfg.schedule(), task.dim)
+    held = ([server.model, server.hessian.diag] + result.models
+            + [c.model for c in result.clients] + [c.hessian.diag for c in result.clients])
+    before = [a.copy() for a in held]
+    for client in result.clients:
+        client_rebuild(client, fetch_since(server.ledger, client.last_round), cfg.eta, provider)
+    matrices = [np.ones((cfg.tau, cfg.perturbations))] * cfg.sampled_per_round
+    server_aggregate(server, matrices, cfg.rounds, cfg, provider)
+    for a, b in zip(held, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_run_loss_trace_is_mean_client_loss(rotate):
+    task = QuadraticTask.build(dim=10, num_clients=5, seed=31, spectrum_variance=1.0,
+                               offset_scale=0.1, x0_scale=0.5, rotate=rotate)
+    result = run_training(small_config(), task, keep_models=True)
+    for rec, model in zip(result.trace, result.models):
+        per_client = np.mean([task.client_loss(i, model) for i in range(task.num_clients)])
+        assert rec["loss"] == pytest.approx(per_client, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_global_grad_is_gradient_at_mean_center(rotate):
+    task = QuadraticTask.build(dim=40, num_clients=7, seed=31, offset_scale=0.5, shift=0.3,
+                               rotate=rotate)
+    task.global_loss(task.x0)  # the mean center is cached from here on
+    for j in range(3):
+        x = gaussian_vector(mix(9, j), 40)
+        expected = task._apply_A(x - task.centers.mean(axis=0))
+        assert task.global_grad(x).tobytes() == expected.tobytes()

@@ -128,6 +128,24 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "m" in captured.err
 
 
+@pytest.mark.parametrize("field, value", [("nu", 2.0), ("beta_lower", 5.0), ("epsilon", 0.0)])
+def test_cli_rejects_bad_curvature_fields_with_exit_code_2(tmp_path, capsys, field, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(quad_spec(**{field: value})))
+    assert main(["run", str(spec_path)]) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_estimator_failure_names_client(tmp_path, capsys):
+    # the first step throws the model so far that every client's loss overflows
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(quad_spec(eta=1e300)))
+    assert main(["run", str(spec_path)]) == 3
+    err = capsys.readouterr().err
+    assert "estimator failure" in err and "on client " in err
+
+
 def test_cli_account_and_verify(tmp_path, capsys):
     code = main(["account", "--rounds", "550", "--m", "2", "--tau", "1", "--P", "5",
                  "--dim", "1000000", "-o", str(tmp_path / "acct.json")])

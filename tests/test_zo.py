@@ -80,6 +80,11 @@ def test_direction_rejects_nonpositive_curvature():
         hessian_informed_direction(np.array([1.0, 0.0]), u)
 
 
+def test_direction_rejects_nan_curvature():
+    with pytest.raises(CurvatureError):
+        hessian_informed_direction(np.array([1.0, np.nan]), np.ones(2))
+
+
 def test_step_delta_basics():
     assert np.array_equal(step_delta(0.0, np.ones(3)), np.zeros(3))
     assert np.array_equal(step_delta(2.0, np.array([1.0, -1.0])), [2.0, -2.0])
@@ -130,6 +135,12 @@ def test_multi_perturbation_mean_hand_case():
     e1 = np.array([1.0, 0.0])
     out = multi_perturbation_delta([1.0, 3.0], [e1, e1])
     assert np.array_equal(out, 2.0 * e1)
+
+
+def test_multi_perturbation_integer_inputs_give_float_mean():
+    e1 = np.array([1, 0])
+    out = multi_perturbation_delta([1, 2], [e1, e1])
+    assert out.dtype == np.float64 and np.array_equal(out, [1.5, 0.0])
 
 
 def test_multi_perturbation_empty_rejected():
