@@ -32,8 +32,8 @@ loss = lambda x, batch=None: 0.5 * float(a @ (x * x))
 x = np.ones(6)
 mu = 1e-4
 
-g = sf.rge_scalar(loss, x, u_server, mu)
-step = sf.step_delta(g, u_server)
+g = (loss(x + mu * u_server) - loss(x)) / mu  # the forward difference
+step = g * u_server
 print("\ngradient scalar g =", g)
 print("reconstructed step g*u:", np.round(step, 4))
 print("true gradient        :", a * x)
@@ -45,7 +45,7 @@ scalars, dirs = [], []
 for p in range(P):
     u = sf.gaussian_vector(schedule.perturbation_seed(0, 0, p), 6)
     dirs.append(u)
-    scalars.append(sf.rge_scalar(loss, x, u, mu))
+    scalars.append((loss(x + mu * u) - loss(x)) / mu)
 print(f"mean of {P} rank-one steps:", np.round(sf.multi_perturbation_delta(scalars, dirs), 3))
 
 # --- 3. a client rebuilds from the ledger --------------------------------------

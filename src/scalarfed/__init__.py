@@ -13,8 +13,7 @@ from .errors import (ConfigError, CurvatureError, EstimatorFailureError,
                      ProtocolOrderError, ScalarFedError, SeedCollisionError)
 from .fedsim import (ClientState, DirectionProvider, RoundConfig, RunResult,
                      ServerState, client_local_update, client_rebuild,
-                     run_training, sample_clients, server_aggregate,
-                     vector_oracle_run)
+                     run_training, sample_clients, server_aggregate)
 from .ledger import (CommMeter, Ledger, RoundLog, WireCostModel, deserialize,
                      fetch_since, full_vector_bytes, meter_round,
                      per_client_scalar_bytes, record_round, serialize)
@@ -22,7 +21,6 @@ from .rng import SeedSchedule, gaussian_vector, mix, sample_without_replacement
 from .tasks import (DirichletPartition, LogisticTask, QuadraticTask,
                     heterogeneity_sigma, make_lognormal_spectrum,
                     partition_dirichlet)
-from .zo import (SmoothingParams, hessian_informed_direction,
-                 multi_perturbation_delta, rge_scalar, scale_direction, step_delta)
+from .zo import multi_perturbation_delta, scale_direction
 
 __version__ = "0.1.0"

@@ -8,9 +8,11 @@ and resets its model to the round-start value; the server averages the
 scalar matrices, advances the model and the curvature EMA, and appends the
 round log to the ledger.
 
-Rebuild, aggregation and the fixed-order oracle all advance state through one
-replay kernel, in place on private copies, with the curvature validated once
-at the kernel boundary. It and the local update share the helpers
+One round loop, run_training, serves the protocol and its full-vector
+oracles; they differ only in how round-start state reaches a client (see its
+`transport`). Rebuild and aggregation advance state through one replay
+kernel, in place on private copies, with the curvature validated once at the
+kernel boundary. It and the local update share the helpers
 (scale_direction, multi_perturbation_delta, ema_update) with fixed fold
 orders: ascending client id, ascending local step, ascending perturbation.
 That discipline is what makes replay, rebuild and the full-vector oracle
@@ -186,9 +188,12 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                         task, provider: DirectionProvider) -> np.ndarray:
     """Run tau local steps and return the (tau, P) LOCAL scalar matrix.
 
-    The trajectory uses the client's own scalars; the model is reset to its
-    round-start value afterwards (the caller's ClientState is untouched), so
-    all durable state flows exclusively through the global scalars.
+    This is the one forward-difference estimator: every scalar is
+    (f(x + mu*z) - f(x)) / mu, and at each step the P perturbed losses share
+    one base evaluation and one batch. The trajectory uses the client's own
+    scalars; the model is reset to its round-start value afterwards (the
+    caller's ClientState is untouched), so all durable state flows
+    exclusively through the global scalars.
     """
     x = client.model
     isH = inv_sqrt(client.hessian)
@@ -246,6 +251,26 @@ def server_aggregate(server: ServerState, matrices, r: int, config: RoundConfig,
     return log, model, hessian
 
 
+def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
+                    provider: DirectionProvider):
+    """The natural model-averaging server step: mean of the clients' per-step
+    delta vectors. Mathematically the replay of the mean scalars, but
+    floating-point distinct."""
+    model, hessian = server.model, server.hessian
+    isH = inv_sqrt(hessian)
+    for k in range(config.tau):
+        zs = [scale_direction(provider.u(r, k, p), isH)
+              for p in range(config.perturbations)]
+        client_deltas = [multi_perturbation_delta(mat[k], zs) for mat in matrices]
+        delta = client_deltas[0].copy()
+        for extra in client_deltas[1:]:
+            delta = delta + extra
+        delta = delta / len(client_deltas)
+        model = model - config.eta * delta
+        hessian = ema_update(hessian, delta)
+    return model, hessian
+
+
 @dataclass
 class RunResult:
     trace: list
@@ -281,9 +306,22 @@ def _trace_record(r, loss, meter, prev_meter, hessian, evals, started, task):
     return rec
 
 
-def run_training(config: RoundConfig, task, keep_models: bool = False) -> RunResult:
-    """Execute R rounds of the scalar-only protocol."""
+def run_training(config: RoundConfig, task, keep_models: bool = False,
+                 transport: str = "replay") -> RunResult:
+    """Execute R rounds; `transport` is how round-start state reaches a client.
+
+    "replay": the scalar-only protocol; each client keeps a replica and
+    rebuilds it from the ledger rounds it missed. "direct": the full-vector
+    oracle; each sampled client is handed the server's (model, curvature) by
+    value and nothing else changes, so it must agree with "replay" bitwise in
+    models, ledger, meter and trace (bar wall time); any difference convicts
+    the ledger/rebuild/reset machinery. "natural": the direct hand-off, but the
+    server averages the clients' delta vectors instead of replaying the mean
+    scalars; it agrees only to rounding. Only "replay" keeps client replicas.
+    """
     config.validate()
+    if transport not in ("replay", "direct", "natural"):
+        raise ConfigError(f"unknown transport {transport!r}", field="transport")
     if task.num_clients != config.num_clients:
         raise ConfigError(
             f"task has {task.num_clients} clients, config says {config.num_clients}",
@@ -301,7 +339,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False) -> RunRes
     clients = [
         ClientState(id=i, model=x0.copy(), hessian=config.initial_hessian(dim))
         for i in range(config.num_clients)
-    ]
+    ] if transport == "replay" else []
     trace = []
     models = [] if keep_models else None
     evals = 0
@@ -314,14 +352,20 @@ def run_training(config: RoundConfig, task, keep_models: bool = False) -> RunRes
         matrices = []
         for cid in sampled:
             cid = int(cid)
-            client = clients[cid]
-            missed = fetch_since(server.ledger, client.last_round)
+            missed = fetch_since(server.ledger, server.ledger.last_participation[cid])
             missed_counts.append(len(missed))
-            client = client_rebuild(client, missed, config.eta, provider)
+            if transport == "replay":
+                client = clients[cid] = client_rebuild(clients[cid], missed, config.eta,
+                                                       provider)
+            else:
+                client = ClientState(id=cid, model=server.model, hessian=server.hessian)
             matrices.append(client_local_update(client, r, config, task, provider))
             evals += config.tau * (config.perturbations + 1)
-            clients[cid] = replace(client, last_round=r)
-        log, model, hessian = server_aggregate(server, matrices, r, config, provider)
+        if transport == "natural":
+            log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))
+            model, hessian = _average_deltas(server, matrices, r, config, provider)
+        else:
+            log, model, hessian = server_aggregate(server, matrices, r, config, provider)
         prev_meter = server.meter
         server = ServerState(
             model=model,
@@ -339,63 +383,4 @@ def run_training(config: RoundConfig, task, keep_models: bool = False) -> RunRes
                           hessian, evals, started, task)
         )
     return RunResult(trace=trace, server=server, clients=clients, config=config,
-                     models=models)
-
-
-def vector_oracle_run(config: RoundConfig, task, fixed_order: bool = True,
-                      keep_models: bool = False) -> RunResult:
-    """The same algorithm with state moved by value instead of by replay.
-
-    Clients receive (model, curvature) directly from the server each round --
-    no ledger, no reset-replay, no rebuild -- and the server advances global
-    state from their uploads. With fixed_order=True the global deltas are
-    reconstructed from the aggregated scalars through the very same reduction
-    the scalar protocol uses, so the two runs must agree bitwise; any
-    difference convicts the ledger/rebuild/reset machinery. With
-    fixed_order=False the server instead averages the clients' per-step
-    delta vectors (the natural model-averaging form), which is mathematically
-    identical but floating-point distinct; agreement is then only expected to
-    rounding accumulation.
-    """
-    config.validate()
-    dim = task.dim
-    provider = DirectionProvider(config.schedule(), dim)
-    x0 = np.asarray(task.x0, dtype=np.float64) if hasattr(task, "x0") else np.zeros(dim)
-    model = x0.copy()
-    hessian = config.initial_hessian(dim)
-    trace = []
-    models = [] if keep_models else None
-    evals = 0
-    started = time.perf_counter()
-    for r in range(config.rounds):
-        sampled = sample_clients(
-            config.num_clients, config.sampled_per_round, r, config.sampling_seed
-        )
-        matrices = []
-        for cid in sampled:
-            handed = ClientState(id=int(cid), model=model, hessian=hessian)
-            matrices.append(client_local_update(handed, r, config, task, provider))
-            evals += config.tau * (config.perturbations + 1)
-        if fixed_order:
-            log = RoundLog(round=r, scalars=aggregate_scalars(matrices, quantize=False))
-            model, hessian = _replay(model, hessian, [log], provider, config.eta)
-        else:
-            isH = inv_sqrt(hessian)
-            for k in range(config.tau):
-                zs = [scale_direction(provider.u(r, k, p), isH)
-                      for p in range(config.perturbations)]
-                client_deltas = [multi_perturbation_delta(mat[k], zs) for mat in matrices]
-                delta = client_deltas[0].copy()
-                for extra in client_deltas[1:]:
-                    delta = delta + extra
-                delta = delta / len(client_deltas)
-                model = model - config.eta * delta
-                hessian = ema_update(hessian, delta)
-        if keep_models:
-            models.append(model.copy())
-        trace.append({"round": r, "loss": task.global_loss(model)})
-    server = ServerState(model=model, hessian=hessian,
-                         ledger=Ledger(num_clients=config.num_clients),
-                         meter=CommMeter(cost=config.cost_model))
-    return RunResult(trace=trace, server=server, clients=[], config=config,
                      models=models)

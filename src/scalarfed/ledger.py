@@ -107,9 +107,9 @@ def fetch_since(ledger: Ledger, r_last: int):
 # never a partial ledger):
 #   header: magic(4s) version(u16) pad(u16) tau(u16) P(u16) root_seed(u64) M(u32)
 #   participation: M x u64
-#   rounds: count(u64), then per round: round(u64) n_participants(u32)
-#           [u32 participant ids are NOT stored; participation is held in the
-#            aggregate map above] followed by tau*P f64 scalars.
+#   rounds: count(u64), then per round: round(u64) followed by tau*P f64
+#           scalars. Per-round participants are not stored; participation is
+#           held in the aggregate map above.
 
 _HEADER = struct.Struct("<4sHHHHQI")
 

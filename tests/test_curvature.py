@@ -8,8 +8,9 @@ from scalarfed.rng import mix
 
 
 def test_invariants_enforced_at_construction():
-    with pytest.raises(CurvatureError):
-        DiagHessian(diag=np.array([1.0, -1.0]))
+    for nonpositive in ([1.0, -1.0], [1.0, 0.0]):
+        with pytest.raises(CurvatureError):
+            DiagHessian(diag=np.array(nonpositive))
     with pytest.raises(CurvatureError):
         DiagHessian(diag=np.ones(2), nu=1.5)
     with pytest.raises(CurvatureError):

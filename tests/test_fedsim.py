@@ -6,7 +6,7 @@ import pytest
 from scalarfed import (ClientState, DirectionProvider, QuadraticTask,
                        RoundConfig, ServerState, client_local_update, client_rebuild,
                        fetch_since, gaussian_vector, run_training, sample_clients,
-                       server_aggregate, vector_oracle_run)
+                       serialize, server_aggregate)
 from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
 from scalarfed.fedsim import _replay, aggregate_scalars
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
@@ -273,12 +273,42 @@ def test_vector_oracle_bitwise_and_natural_modes():
     cfg = small_config(rounds=10).validate()
     task = small_task()
     scalar = run_training(cfg, task, keep_models=True)
-    fixed = vector_oracle_run(cfg, task, fixed_order=True, keep_models=True)
+    fixed = run_training(cfg, task, keep_models=True, transport="direct")
     for a, b in zip(scalar.models, fixed.models):
         assert np.array_equal(a, b)
-    natural = vector_oracle_run(cfg, task, fixed_order=False, keep_models=True)
+    natural = run_training(cfg, task, keep_models=True, transport="natural")
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(scalar.models, natural.models))
     assert worst <= 1e-9
+    assert fixed.clients == natural.clients == []
+
+
+@pytest.mark.parametrize("quantize", [False, True])
+def test_direct_transport_matches_replay_bitwise(quantize):
+    # handing state by value must change nothing but the wall time, also when
+    # the 32-bit wire rounds the scalars
+    cfg = small_config(rounds=10, quantize_wire=quantize).validate()
+    task = small_task()
+    replay = run_training(cfg, task, keep_models=True)
+    direct = run_training(cfg, task, keep_models=True, transport="direct")
+    assert [m.tobytes() for m in replay.models] == [m.tobytes() for m in direct.models]
+    assert replay.server.hessian.diag.tobytes() == direct.server.hessian.diag.tobytes()
+    assert serialize(replay.server.ledger) == serialize(direct.server.ledger)
+    assert replay.server.meter == direct.server.meter
+    untimed = lambda trace: [dict(rec, wall_time_s=None) for rec in trace]
+    assert untimed(replay.trace) == untimed(direct.trace)
+
+
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+def test_client_count_mismatch_rejected_in_every_transport(transport):
+    with pytest.raises(ConfigError) as err:
+        run_training(small_config(num_clients=8), small_task(M=5), transport=transport)
+    assert err.value.field == "M"
+
+
+def test_unknown_transport_rejected():
+    with pytest.raises(ConfigError) as err:
+        run_training(small_config(), small_task(), transport="by-post")
+    assert err.value.field == "transport"
 
 
 def test_wire_quantization_divergence_bounded_not_asserted():
@@ -287,7 +317,8 @@ def test_wire_quantization_divergence_bounded_not_asserted():
     cfg = small_config(rounds=10, quantize_wire=True).validate()
     task = small_task()
     scalar = run_training(cfg, task, keep_models=True)
-    oracle = vector_oracle_run(cfg, task, fixed_order=True, keep_models=True)
+    oracle = run_training(replace(cfg, quantize_wire=False), task, keep_models=True,
+                          transport="direct")
     gaps = [float(np.max(np.abs(a - b))) for a, b in zip(scalar.models, oracle.models)]
     assert gaps[-1] > 0.0
     assert gaps[-1] < 1e-3
@@ -319,7 +350,7 @@ def test_estimator_failure_carries_coordinates():
 @pytest.mark.parametrize("field, value", [
     ("nu", 2.0), ("nu", -0.1), ("epsilon", 0.0), ("beta_lower", 5.0),
     ("beta_lower", 0.0), ("beta_upper", 0.5), ("eta", np.inf), ("eta", np.nan),
-    ("mu", np.inf), ("root_seed", -1), ("root_seed", 2**64), ("sampling_seed", -1),
+    ("mu", 0.0), ("mu", np.inf), ("root_seed", -1), ("root_seed", 2**64), ("sampling_seed", -1),
 ])
 def test_config_rejects_curvature_step_and_seed_fields(field, value):
     with pytest.raises(ConfigError) as err:

@@ -101,7 +101,8 @@ def test_sweep_rows_and_budget(tmp_path):
     assert {(r["nu"], r["eta"]) for r in rows} == {(0.0, 0.01), (0.0, 0.02),
                                                    (0.1, 0.01), (0.1, 0.02)}
     path = harness.write_sweep_csv(rows, str(tmp_path / "sweep.csv"))
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 5
     with pytest.raises(ConfigError):
         harness.sweep(spec, nu_list=[0.1] * 9, eta_list=[0.01] * 9, max_runs=64)
@@ -126,6 +127,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "m" in captured.err
+
+    spec_path.write_text(json.dumps(quad_spec(M=8)))  # the task has 4 clients
+    assert main(["run", str(spec_path)]) == 2
+    assert "(field: M)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("nu", 2.0), ("beta_lower", 5.0), ("epsilon", 0.0)])
@@ -175,7 +180,8 @@ def test_sweep_explicit_empty_grid_gives_empty_csv(tmp_path):
     rows = harness.sweep(quad_spec(R=3), nu_list=[])
     assert rows == []
     path = harness.write_sweep_csv(rows, str(tmp_path / "empty.csv"))
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 1 and "final_loss" in lines[0]
 
 

@@ -1,37 +1,67 @@
 import numpy as np
 import pytest
 
-from scalarfed import (DiagHessian, gaussian_vector, hessian_informed_direction,
-                       multi_perturbation_delta, rge_scalar, step_delta)
-from scalarfed.errors import CurvatureError, EstimatorFailureError, InvalidDimensionError
+from scalarfed import (ClientState, DiagHessian, RoundConfig, client_local_update,
+                       gaussian_vector, inv_sqrt, multi_perturbation_delta, scale_direction)
+from scalarfed.errors import EstimatorFailureError, InvalidDimensionError
 from scalarfed.rng import mix
-from scalarfed.zo import SmoothingParams
 
 
-def test_smoothing_params_positive():
-    assert SmoothingParams().mu == 1e-3
-    with pytest.raises(InvalidDimensionError):
-        SmoothingParams(mu=0.0)
+class StubTask:
+    """One client whose loss is `loss(x, batch)` on every batch `batch`."""
+
+    num_clients = 1
+
+    def __init__(self, loss, batch=None):
+        self.loss, self.batch = loss, batch
+
+    def draw_batch(self, client, r, k, schedule):
+        return self.batch
+
+    def client_loss(self, client, x, batch=None):
+        return self.loss(x, batch)
+
+
+class FixedDirection:
+    """Direction provider whose every u(r, k, p) is `z`."""
+
+    schedule = None
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=np.float64)
+
+    def u(self, r, k, p):
+        return self.z
+
+
+def estimate(loss, x, z, mu, batch=None, P=1):
+    """The simulator's forward-difference scalars at x along z (identity curvature,
+    so the direction is z itself): one step, P perturbations."""
+    config = RoundConfig(num_clients=1, sampled_per_round=1, rounds=1, eta=0.1,
+                         perturbations=P, mu=mu)
+    x = np.asarray(x, dtype=np.float64)
+    client = ClientState(id=0, model=x, hessian=DiagHessian.identity(x.shape[0]))
+    return client_local_update(client, 0, config, StubTask(loss, batch), FixedDirection(z))[0]
 
 
 def test_rge_constant_loss_is_zero():
-    g = rge_scalar(lambda x, b: 7.0, np.zeros(3), np.ones(3), 0.01)
-    assert g == 0.0
+    g = estimate(lambda x, b: 7.0, np.zeros(3), np.ones(3), 0.01)
+    assert g[0] == 0.0
 
 
 def test_rge_linear_loss_exact():
     a = np.array([1.0, 2.0])
     loss = lambda x, b: float(a @ x)
     for mu in (1e-1, 1e-3, 1e-6):
-        g = rge_scalar(loss, np.array([5.0, -3.0]), np.array([1.0, 1.0]), mu)
-        assert g == pytest.approx(3.0, rel=1e-9)
+        g = estimate(loss, np.array([5.0, -3.0]), np.array([1.0, 1.0]), mu)
+        assert g[0] == pytest.approx(3.0, rel=1e-9)
 
 
 def test_rge_quadratic_hand_value():
     # f = ||x||^2 / 2 at the origin: the scalar is the pure curvature term mu/2
     loss = lambda x, b: 0.5 * float(x @ x)
-    g = rge_scalar(loss, np.zeros(2), np.array([1.0, 0.0]), 0.01)
-    assert g == pytest.approx(0.005, rel=1e-12)
+    g = estimate(loss, np.zeros(2), np.array([1.0, 0.0]), 0.01)
+    assert g[0] == pytest.approx(0.005, rel=1e-12)
 
 
 def test_rge_nonfinite_loss_reported():
@@ -39,30 +69,31 @@ def test_rge_nonfinite_loss_reported():
         return np.inf if np.any(x != 0) else 1.0
 
     with pytest.raises(EstimatorFailureError) as err:
-        rge_scalar(loss, np.zeros(2), np.ones(2), 0.1)
+        estimate(loss, np.zeros(2), np.ones(2), 0.1)
     assert err.value.which == "perturbed"
 
 
 def test_rge_same_batch_for_both_evaluations():
+    # one base evaluation shared by both perturbations, all on the same batch
     seen = []
 
     def loss(x, batch):
         seen.append(batch)
         return float(x.sum())
 
-    rge_scalar(loss, np.zeros(2), np.ones(2), 0.1, batch="xi-7")
-    assert seen == ["xi-7", "xi-7"]
+    estimate(loss, np.zeros(2), np.ones(2), 0.1, batch="xi-7", P=2)
+    assert seen == ["xi-7", "xi-7", "xi-7"]
 
 
 def test_direction_identity_reduction():
     u = gaussian_vector(3, 8)
     H = DiagHessian.identity(8)
-    assert np.array_equal(hessian_informed_direction(H, u), u)
+    assert np.array_equal(scale_direction(u, inv_sqrt(H)), u)
 
 
 def test_direction_hand_case():
     H = DiagHessian(diag=np.array([4.0, 1.0]))
-    z = hessian_informed_direction(H, np.array([1.0, 1.0]))
+    z = scale_direction(np.array([1.0, 1.0]), inv_sqrt(H))
     assert np.allclose(z, [0.5, 1.0], rtol=0, atol=0)
 
 
@@ -70,24 +101,8 @@ def test_direction_round_trip():
     diag = np.exp(gaussian_vector(11, 50))
     H = DiagHessian(diag=diag)
     u = gaussian_vector(12, 50)
-    z = hessian_informed_direction(H, u)
+    z = scale_direction(u, inv_sqrt(H))
     assert np.max(np.abs(z * np.sqrt(diag) - u)) <= 1e-15 * np.max(np.abs(u))
-
-
-def test_direction_rejects_nonpositive_curvature():
-    u = np.ones(2)
-    with pytest.raises(CurvatureError):
-        hessian_informed_direction(np.array([1.0, 0.0]), u)
-
-
-def test_direction_rejects_nan_curvature():
-    with pytest.raises(CurvatureError):
-        hessian_informed_direction(np.array([1.0, np.nan]), np.ones(2))
-
-
-def test_step_delta_basics():
-    assert np.array_equal(step_delta(0.0, np.ones(3)), np.zeros(3))
-    assert np.array_equal(step_delta(2.0, np.array([1.0, -1.0])), [2.0, -2.0])
 
 
 def test_step_delta_unbiased_on_quadratic():
@@ -127,8 +142,9 @@ def test_preconditioned_mean_matches_newton_target():
 
 
 def test_multi_perturbation_reduces_to_step_delta():
-    z = gaussian_vector(5, 6)
-    assert np.array_equal(multi_perturbation_delta([2.5], [z]), step_delta(2.5, z))
+    # P = 1 is the rank-one step g * z
+    for g, z in ((0.0, np.ones(3)), (2.0, np.array([1.0, -1.0])), (2.5, gaussian_vector(5, 6))):
+        assert np.array_equal(multi_perturbation_delta([g], [z]), g * z)
 
 
 def test_multi_perturbation_mean_hand_case():
