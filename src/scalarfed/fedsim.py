@@ -100,24 +100,38 @@ class RoundConfig:
 
 
 class DirectionProvider:
-    """Cached seed -> raw Gaussian direction lookup shared by all parties.
+    """Seed -> raw Gaussian direction lookup shared by all parties.
 
-    Purely an optimization: u(r, k, p) is a pure function of the schedule, so
-    server, clients and oracles may share one cache without coupling.
+    u(r, k, p) is a pure function of the schedule, so server, clients and
+    oracles may share one provider without coupling. Given the run's plan
+    `last_use` (last_use[j] is the round after which round j's directions are
+    never read again), it caches round j from its first read until
+    release(last_use[j]): every direction is generated once, and only rounds
+    still due to be read stay in memory. Without a plan it caches nothing,
+    which suits a reader that requests each direction once.
     """
 
-    def __init__(self, schedule: SeedSchedule, dim: int):
+    def __init__(self, schedule: SeedSchedule, dim: int, last_use=None):
         self.schedule = schedule
         self.dim = dim
-        self._cache = {}
+        self._cache = {}  # round not yet released -> {(k, p): u}
+        self._expiring = {}  # round t -> rounds whose last reader is round t
+        for j, t in enumerate(last_use or ()):
+            self._cache[j] = {}
+            self._expiring.setdefault(t, []).append(j)
 
     def u(self, r: int, k: int, p: int) -> np.ndarray:
-        key = (r, k, p)
-        got = self._cache.get(key)
+        live = self._cache.get(r, {})
+        got = live.get((k, p))
         if got is None:
-            got = gaussian_vector(self.schedule.perturbation_seed(r, k, p), self.dim)
-            self._cache[key] = got
+            got = live[(k, p)] = gaussian_vector(self.schedule.perturbation_seed(r, k, p),
+                                                 self.dim)
         return got
+
+    def release(self, t: int):
+        """Drop every round whose last reader was round t."""
+        for j in self._expiring.pop(t, ()):
+            del self._cache[j]
 
 
 @dataclass
@@ -143,6 +157,22 @@ def sample_clients(num_clients: int, m: int, r: int, sampling_seed: int) -> np.n
     perturbation streams (changing M or m never perturbs directions)."""
     seed = SeedSchedule(root=sampling_seed).sampling_seed(r)
     return sample_without_replacement(seed, num_clients, m)
+
+
+def _last_use(plan, transport: str) -> list:
+    """Per round j, the last round whose work reads round j's directions.
+
+    Every round reads its own. Under "replay" a client whose last round is
+    <= j also replays round j when it is next sampled, so round j is read
+    until the latest first return after j of any client.
+    """
+    last_use = list(range(len(plan)))
+    if transport == "replay":
+        next_return = {}  # client -> its first sampled round after j
+        for j in reversed(range(len(plan))):
+            last_use[j] = max(next_return.values(), default=j)
+            next_return.update((int(cid), j) for cid in plan[j])
+    return last_use
 
 
 def _quantize(a: np.ndarray) -> np.ndarray:
@@ -283,7 +313,7 @@ class RunResult:
         return np.array([rec["loss"] for rec in self.trace])
 
 
-def _trace_record(r, loss, meter, prev_meter, hessian, evals, started, task):
+def _trace_record(r, loss, meter, prev_meter, hessian, evals, missed_counts, started, task):
     rec = {
         "round": r,
         "loss": loss,
@@ -295,6 +325,8 @@ def _trace_record(r, loss, meter, prev_meter, hessian, evals, started, task):
         "h_median": float(np.median(hessian.diag)),
         "h_max": float(hessian.diag.max()),
         "client_fn_evals": evals,
+        "max_stale_rounds": max(missed_counts),
+        "mean_stale_rounds": sum(missed_counts) / len(missed_counts),
         "wall_time_s": time.perf_counter() - started,
     }
     if isinstance(task, QuadraticTask) and task.rotation is None:
@@ -318,6 +350,13 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     the ledger/rebuild/reset machinery. "natural": the direct hand-off, but the
     server averages the clients' delta vectors instead of replaying the mean
     scalars; it agrees only to rounding. Only "replay" keeps client replicas.
+
+    The sampling plan is drawn up front; from it the direction cache knows
+    each round's last reader and drops the round right after it, so no
+    direction is generated twice and, unless some client stays away for most
+    of the run, the cache does not grow with R. Client replicas are lazy: every
+    client not yet sampled shares one read-only (x0, identity) pair, which
+    rebuild copies before it advances.
     """
     config.validate()
     if transport not in ("replay", "direct", "natural"):
@@ -328,26 +367,26 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             field="M",
         )
     dim = task.dim
-    provider = DirectionProvider(config.schedule(), dim)
-    x0 = np.asarray(task.x0, dtype=np.float64) if hasattr(task, "x0") else np.zeros(dim)
+    plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
+                           config.sampling_seed) for r in range(config.rounds)]
+    provider = DirectionProvider(config.schedule(), dim, _last_use(plan, transport))
+    x0 = np.array(task.x0, dtype=np.float64)
+    identity = config.initial_hessian(dim)
+    for shared in (x0, identity.diag):
+        shared.setflags(write=False)
     server = ServerState(
-        model=x0.copy(),
-        hessian=config.initial_hessian(dim),
+        model=x0,
+        hessian=identity,
         ledger=Ledger(num_clients=config.num_clients),
         meter=CommMeter(cost=config.cost_model),
     )
-    clients = [
-        ClientState(id=i, model=x0.copy(), hessian=config.initial_hessian(dim))
-        for i in range(config.num_clients)
-    ] if transport == "replay" else []
+    clients = [ClientState(id=i, model=x0, hessian=identity)
+               for i in range(config.num_clients)] if transport == "replay" else []
     trace = []
     models = [] if keep_models else None
     evals = 0
     started = time.perf_counter()
-    for r in range(config.rounds):
-        sampled = sample_clients(
-            config.num_clients, config.sampled_per_round, r, config.sampling_seed
-        )
+    for r, sampled in enumerate(plan):
         missed_counts = []
         matrices = []
         for cid in sampled:
@@ -366,6 +405,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             model, hessian = _average_deltas(server, matrices, r, config, provider)
         else:
             log, model, hessian = server_aggregate(server, matrices, r, config, provider)
+        provider.release(r)
         prev_meter = server.meter
         server = ServerState(
             model=model,
@@ -380,7 +420,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             models.append(model.copy())
         trace.append(
             _trace_record(r, task.global_loss(model), server.meter, prev_meter,
-                          hessian, evals, started, task)
+                          hessian, evals, missed_counts, started, task)
         )
     return RunResult(trace=trace, server=server, clients=clients, config=config,
                      models=models)

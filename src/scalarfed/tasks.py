@@ -229,6 +229,11 @@ class LogisticTask:
     def num_clients(self) -> int:
         return self.partition.num_clients
 
+    @property
+    def x0(self) -> np.ndarray:
+        """Training starts from the zero weight vector."""
+        return np.zeros(self.dim)
+
     def draw_batch(self, client, r, k, schedule) -> np.ndarray:
         """Batch of sample indices from the client's shard, keyed purely by
         (client, round, step) so replays and oracles see identical data."""

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scalarfed import fedsim
 from scalarfed import (ClientState, DirectionProvider, QuadraticTask,
                        RoundConfig, ServerState, client_local_update, client_rebuild,
                        fetch_since, gaussian_vector, run_training, sample_clients,
                        serialize, server_aggregate)
 from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
-from scalarfed.fedsim import _replay, aggregate_scalars
+from scalarfed.fedsim import _last_use, _replay, aggregate_scalars
+from scalarfed.harness import fuzz_config
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
 from scalarfed.rng import mix
 
@@ -259,7 +261,8 @@ def test_trace_record_contents_and_meter_columns():
     rec = result.trace[-1]
     for key in ("round", "loss", "uplink_bytes", "downlink_bytes", "cum_uplink_bytes",
                 "cum_downlink_bytes", "h_min", "h_median", "h_max",
-                "client_fn_evals", "wall_time_s", "kappa", "zeta", "spectral_term"):
+                "client_fn_evals", "max_stale_rounds", "mean_stale_rounds", "wall_time_s",
+                "kappa", "zeta", "spectral_term"):
         assert key in rec
     assert rec["cum_uplink_bytes"] == sum(r["uplink_bytes"] for r in result.trace)
     # uplink per round: m * tau * P * 4 bytes
@@ -267,6 +270,12 @@ def test_trace_record_contents_and_meter_columns():
     # round 0 pulls nothing
     assert result.trace[0]["downlink_bytes"] == 0
     assert rec["client_fn_evals"] == 4 * 2 * 2 * (3 + 1)
+    # round 3 samples client 0, never sampled before (replays rounds 0-2), and
+    # client 4, last sampled in round 2 (replays round 2)
+    assert [list(sample_clients(5, 2, r, cfg.sampling_seed)) for r in (2, 3)] == [[1, 4], [0, 4]]
+    assert (rec["max_stale_rounds"], rec["mean_stale_rounds"]) == (3, 2.0)
+    for r in result.trace:
+        assert r["downlink_bytes"] == r["mean_stale_rounds"] * 2 * 2 * 3 * 4
 
 
 def test_vector_oracle_bitwise_and_natural_modes():
@@ -484,3 +493,103 @@ def test_global_grad_is_gradient_at_mean_center(rotate):
         x = gaussian_vector(mix(9, j), 40)
         expected = task._apply_A(x - task.centers.mean(axis=0))
         assert task.global_grad(x).tobytes() == expected.tobytes()
+
+
+def cached_bytes(provider):
+    return sum(u.nbytes for live in provider._cache.values() for u in live.values())
+
+
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
+    # Brute-force reference: wrap the provider and record, for each round j,
+    # the last round whose work requests round j's directions. The plan must
+    # name exactly that round, every seed must be generated once, and the
+    # cache must be empty once the run is over.
+    reads, seeds, providers, current = {}, [], [], [0]
+    u, release = DirectionProvider.u, DirectionProvider.release
+
+    def recorded_u(provider, r, k, p):
+        reads[r] = current[0]  # rounds only advance, so the last write is the latest
+        return u(provider, r, k, p)
+
+    def recorded_release(provider, t):
+        release(provider, t)
+        current[0] = t + 1
+        providers.append(provider)
+
+    def counted(seed, dim):
+        seeds.append(seed)
+        return gaussian_vector(seed, dim)
+
+    monkeypatch.setattr(DirectionProvider, "u", recorded_u)
+    monkeypatch.setattr(DirectionProvider, "release", recorded_release)
+    monkeypatch.setattr(fedsim, "gaussian_vector", counted)
+    for index in range(6):
+        config, task = fuzz_config(3, index)
+        reads.clear()
+        seeds.clear()
+        providers.clear()
+        current[0] = 0
+        run_training(config, task, transport=transport)
+        plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
+                               config.sampling_seed) for r in range(config.rounds)]
+        assert [reads[j] for j in range(config.rounds)] == _last_use(plan, transport)
+        assert len(seeds) == len(set(seeds)) == config.rounds * config.tau * config.perturbations
+        assert len(set(map(id, providers))) == 1 and providers[-1]._cache == {}
+
+
+@pytest.mark.parametrize("rounds", [6, 24])
+def test_full_participation_keeps_one_round_live(monkeypatch, rounds):
+    # with M = m every client replays only the previous round, so after each
+    # round's release only that round is cached, however long the run
+    cfg = small_config(num_clients=3, sampled_per_round=3, rounds=rounds)
+    task = small_task(M=3)
+    live = []
+    release = DirectionProvider.release
+
+    def measured(provider, t):
+        release(provider, t)
+        live.append(cached_bytes(provider))
+
+    monkeypatch.setattr(DirectionProvider, "release", measured)
+    run_training(cfg, task)
+    one_round = cfg.tau * cfg.perturbations * task.dim * 8
+    assert live == [one_round] * (rounds - 1) + [0]
+
+
+def test_provider_without_plan_caches_nothing(monkeypatch):
+    calls = []
+
+    def counted(seed, dim):
+        calls.append(seed)
+        return gaussian_vector(seed, dim)
+
+    monkeypatch.setattr(fedsim, "gaussian_vector", counted)
+    provider = DirectionProvider(small_config().schedule(), 10)
+    first, again = provider.u(2, 1, 0), provider.u(2, 1, 0)
+    assert first.tobytes() == again.tobytes()
+    assert len(calls) == 2 and provider._cache == {}
+
+
+def test_never_sampled_clients_share_one_read_only_start():
+    cfg = small_config(num_clients=64, sampled_per_round=2, rounds=10).validate()
+    task = small_task(M=64)
+    result = run_training(cfg, task)
+    sampled = {int(c) for r in range(cfg.rounds)
+               for c in sample_clients(64, 2, r, cfg.sampling_seed)}
+    idle = [c for c in result.clients if c.id not in sampled]
+    assert len(result.clients) == 64 and idle
+    assert len({id(c.model) for c in result.clients}) == len(sampled) + 1
+    assert task.x0.flags.writeable  # the task's own start is not frozen
+    for client in idle:
+        assert client.last_round == 0
+        assert client.model.tobytes() == task.x0.tobytes()
+        assert client.hessian.diag.tobytes() == np.ones(task.dim).tobytes()
+        with pytest.raises(ValueError):
+            client.model[0] = 1.0
+        with pytest.raises(ValueError):
+            client.hessian.diag[0] = 1.0
+    provider = DirectionProvider(cfg.schedule(), task.dim)
+    rebuilt = client_rebuild(idle[0], fetch_since(result.server.ledger, 0), cfg.eta, provider)
+    assert rebuilt.model.tobytes() == result.server.model.tobytes()
+    assert rebuilt.hessian.diag.tobytes() == result.server.hessian.diag.tobytes()

@@ -176,6 +176,19 @@ def test_cli_sweep(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_cli_sweep_logistic_spec(tmp_path):
+    spec = {"task": {"kind": "logistic", "dim": 8, "num_clients": 4, "seed": 9,
+                     "n_samples": 200, "batch_size": 16},
+            "round": {"M": 4, "m": 2, "R": 3, "eta": 0.05, "tau": 1, "P": 2, "mu": 1e-4,
+                      "root_seed": 3, "sampling_seed": 4}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", str(spec_path), "--nu", "0,0.1", "-o", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_sweep_explicit_empty_grid_gives_empty_csv(tmp_path):
     rows = harness.sweep(quad_spec(R=3), nu_list=[])
     assert rows == []
