@@ -20,14 +20,14 @@ from scalarfed import harness
 
 print(__doc__)
 
-report = harness.verify_equivalence(fuzz_count=8, seed=0, fixed_order=True)
+report = harness.verify_equivalence(fuzz_count=8, seed=0, transport="direct")
 for line in report.lines():
     print(line)
 print("all bitwise:", report.passed)
 
-print("\nnatural-order reduction instead (mathematically identical, "
-      "floating-point distinct):")
-report = harness.verify_equivalence(fuzz_count=3, seed=1, fixed_order=False)
+print("\nthe \"natural\" oracle instead, which averages delta vectors "
+      "(mathematically identical, floating-point distinct):")
+report = harness.verify_equivalence(fuzz_count=3, seed=1, transport="natural")
 for line in report.lines():
     print(line)
 

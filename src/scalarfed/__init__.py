@@ -19,8 +19,7 @@ from .ledger import (CommMeter, Ledger, RoundLog, WireCostModel, deserialize,
                      per_client_scalar_bytes, record_round, serialize)
 from .rng import SeedSchedule, gaussian_vector, mix, sample_without_replacement
 from .tasks import (DirichletPartition, LogisticTask, QuadraticTask,
-                    heterogeneity_sigma, make_lognormal_spectrum,
-                    partition_dirichlet)
+                    make_lognormal_spectrum, partition_dirichlet)
 from .zo import multi_perturbation_delta, scale_direction
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ import json
 import sys
 
 from .errors import ConfigError, EstimatorFailureError, ScalarFedError
+from .ledger import WireCostModel
 from . import harness
 
 EXIT_OK = 0
@@ -43,13 +44,11 @@ def _cmd_verify_lemmas(args):
 
 def _cmd_verify_equivalence(args):
     report = harness.verify_equivalence(fuzz_count=args.fuzz, seed=args.seed,
-                                        fixed_order=not args.natural_order)
+                                        transport=args.transport)
     return _report_out(report, args)
 
 
 def _cmd_account(args):
-    from .ledger import WireCostModel
-
     row = harness.account(
         rounds=args.rounds, m=args.m, tau=args.tau, perturbations=args.P,
         dim=args.dim,
@@ -64,22 +63,23 @@ def _cmd_account(args):
     return EXIT_OK
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",")] if text else None
-
-
-def _parse_ints(text):
-    return [int(v) for v in text.split(",")] if text else None
+def _parse_list(text, cast, name):
+    if not text:
+        return None
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--{name} takes a comma-separated list: {exc}", field=name) from exc
 
 
 def _cmd_sweep(args):
     spec = harness.load_spec(args.spec)
     rows = harness.sweep(
         spec,
-        nu_list=_parse_floats(args.nu),
-        tau_list=_parse_ints(args.tau),
-        p_list=_parse_ints(args.P),
-        eta_list=_parse_floats(args.eta),
+        nu_list=_parse_list(args.nu, float, "nu"),
+        tau_list=_parse_list(args.tau, int, "tau"),
+        p_list=_parse_list(args.P, int, "P"),
+        eta_list=_parse_list(args.eta, float, "eta"),
         loss_factor=args.loss_factor,
         max_runs=args.max_runs,
     )
@@ -111,9 +111,9 @@ def build_parser():
                        help="scalar protocol vs full-vector oracle on fuzzed configs")
     p.add_argument("--fuzz", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--natural-order", action="store_true",
-                   help="use the natural vector-mean reduction (1e-9 gate) instead of "
-                        "fixed-order bitwise comparison")
+    p.add_argument("--transport", choices=("direct", "natural"), default="direct",
+                   help="oracle to compare against: 'direct' (bitwise gate) or "
+                        "'natural', which averages delta vectors (1e-9 gate)")
     p.add_argument("--output", "-o", default=None, help="JSON report path")
     p.set_defaults(func=_cmd_verify_equivalence)
 

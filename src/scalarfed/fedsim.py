@@ -28,7 +28,6 @@ from .curvature import DiagHessian, diagnostics, ema_update, inv_sqrt
 from .errors import ConfigError, EstimatorFailureError, ProtocolOrderError
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
 from .rng import SeedSchedule, gaussian_vector, sample_without_replacement
-from .tasks import QuadraticTask
 from .zo import multi_perturbation_delta, scale_direction
 
 
@@ -313,7 +312,7 @@ class RunResult:
         return np.array([rec["loss"] for rec in self.trace])
 
 
-def _trace_record(r, loss, meter, prev_meter, hessian, evals, missed_counts, started, task):
+def _trace_record(r, loss, meter, prev_meter, hessian, evals, missed_counts, started, truth):
     rec = {
         "round": r,
         "loss": loss,
@@ -329,9 +328,8 @@ def _trace_record(r, loss, meter, prev_meter, hessian, evals, missed_counts, sta
         "mean_stale_rounds": sum(missed_counts) / len(missed_counts),
         "wall_time_s": time.perf_counter() - started,
     }
-    if isinstance(task, QuadraticTask) and task.rotation is None:
-        sigma, L = task.curvature_truth()
-        diag = diagnostics(hessian, sigma, L)
+    if truth is not None:
+        diag = diagnostics(hessian, *truth)
         rec["kappa"] = diag.effective_rank_kappa
         rec["zeta"] = diag.whitening_rank_zeta
         rec["spectral_term"] = diag.spectral_term
@@ -356,7 +354,8 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     direction is generated twice and, unless some client stays away for most
     of the run, the cache does not grow with R. Client replicas are lazy: every
     client not yet sampled shares one read-only (x0, identity) pair, which
-    rebuild copies before it advances.
+    rebuild copies before it advances. Where the task's optional
+    `curvature_truth()` returns (Sigma, L), each record carries the diagnostics.
     """
     config.validate()
     if transport not in ("replay", "direct", "natural"):
@@ -367,6 +366,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             field="M",
         )
     dim = task.dim
+    truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
     plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
                            config.sampling_seed) for r in range(config.rounds)]
     provider = DirectionProvider(config.schedule(), dim, _last_use(plan, transport))
@@ -420,7 +420,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             models.append(model.copy())
         trace.append(
             _trace_record(r, task.global_loss(model), server.meter, prev_meter,
-                          hessian, evals, missed_counts, started, task)
+                          hessian, evals, missed_counts, started, truth)
         )
     return RunResult(trace=trace, server=server, clients=clients, config=config,
                      models=models)

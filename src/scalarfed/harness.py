@@ -7,8 +7,9 @@ own embedded seeds reproduces its measured values exactly.
 
 import csv
 import json
+import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -62,42 +63,43 @@ def build_round_config(round_spec: dict) -> RoundConfig:
 
 
 def load_spec(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read spec {path!r}: {exc}", field="spec") from exc
+
+
+def _build(spec):
+    """(task, config) from a spec's 'task' and 'round' sections."""
+    if not isinstance(spec, dict) or "task" not in spec or "round" not in spec:
+        raise ConfigError("spec needs 'task' and 'round' sections", field="spec")
+    return build_task(spec["task"]), build_round_config(spec["round"])
 
 
 def run_spec(spec: dict, output_dir=None):
     """Execute a declarative spec: build the task, run training, emit files."""
-    if "task" not in spec or "round" not in spec:
-        raise ConfigError("spec needs 'task' and 'round' sections", field="spec")
-    task = build_task(spec["task"])
-    config = build_round_config(spec["round"])
+    task, config = _build(spec)
     result = run_training(config, task, keep_models=bool(spec.get("keep_models", False)))
     if output_dir is not None:
         write_trace(result.trace, output_dir)
         if spec.get("dump_hessian", False):
-            import os
-
             path = os.path.join(output_dir, "hessian_diag.f64")
             result.server.hessian.diag.astype("<f8").tofile(path)
     return result
 
 
 def write_trace(trace, output_dir):
-    import os
-
     os.makedirs(output_dir, exist_ok=True)
     jsonl = os.path.join(output_dir, "trace.jsonl")
     with open(jsonl, "w") as fh:
         for rec in trace:
             fh.write(json.dumps(rec) + "\n")
     csv_path = os.path.join(output_dir, "summary.csv")
-    keys = list(trace[0].keys())
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=list(trace[0]))
         writer.writeheader()
-        for rec in trace:
-            writer.writerow({k: rec.get(k, "") for k in keys})
+        writer.writerows(trace)
     return jsonl, csv_path
 
 
@@ -178,8 +180,10 @@ def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0,
         equals the true gradient exactly (odd moments vanish), tested to
         three standard errors per coordinate.
     """
-    if dim > 6:
-        raise ConfigError("fourth-moment checks are sized for dim <= 6", field="dim")
+    if not 1 <= dim <= 6:
+        raise ConfigError(f"fourth-moment checks need 1 <= dim <= 6, got {dim}", field="dim")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}", field="samples")
     report = VerificationReport(seed=seed)
     # 3% absorbs the Monte Carlo noise of fourth moments at 1e6 draws; the
     # gate scales as 1/sqrt(N) when run with a different budget
@@ -262,27 +266,32 @@ def fuzz_config(seed: int, index: int):
     return config, task
 
 
-def verify_equivalence(fuzz_count: int = 20, seed: int = 0,
-                       fixed_order: bool = True) -> VerificationReport:
-    """Scalar-only protocol vs full-vector oracle on fuzzed configurations.
+_ORACLE_TOLERANCE = {"direct": 0.0, "natural": 1e-9}
 
-    In fixed-order mode (the "direct" transport) the per-round server models
-    must agree bitwise: the scalar-protocol machinery (ledger, rebuild, reset)
-    is the only thing that can break the equality. In natural-order mode (the
-    "natural" transport) agreement is to 1e-9.
+
+def verify_equivalence(fuzz_count: int = 20, seed: int = 0,
+                       transport: str = "direct") -> VerificationReport:
+    """Scalar-only protocol vs a full-vector oracle on fuzzed configurations.
+
+    Against the "direct" oracle the per-round server models must agree
+    bitwise: the scalar-protocol machinery (ledger, rebuild, reset) is the
+    only thing that can break the equality. Against the "natural" oracle,
+    which averages delta vectors, agreement is to 1e-9.
     """
+    if transport not in _ORACLE_TOLERANCE:
+        raise ConfigError(f"oracle transport must be 'direct' or 'natural', got {transport!r}",
+                          field="transport")
+    tol = _ORACLE_TOLERANCE[transport]
     report = VerificationReport(seed=seed)
     for i in range(fuzz_count):
         t0 = time.perf_counter()
         config, task = fuzz_config(seed, i)
         scalar = run_training(config, task, keep_models=True)
-        oracle = run_training(config, task, keep_models=True,
-                              transport="direct" if fixed_order else "natural")
+        oracle = run_training(config, task, keep_models=True, transport=transport)
         gaps = [float(np.max(np.abs(a - b)))
                 for a, b in zip(scalar.models, oracle.models)]
         worst = max(gaps)
         divergent = next((r for r, g in enumerate(gaps) if g > 0), None)
-        tol = 0.0 if fixed_order else 1e-9
         name = (f"scalar==vector config {i} (d={task.dim}, M={config.num_clients}, "
                 f"m={config.sampled_per_round}, tau={config.tau}, "
                 f"P={config.perturbations}, R={config.rounds})")
@@ -299,8 +308,9 @@ def account(rounds: int, m: int = 2, tau: int = 1, perturbations: int = 5,
             dim: int = None, cost: WireCostModel = WireCostModel()) -> dict:
     """Byte accounting for one run length: metered scalar protocol vs the
     full-vector formula, per client. dim=None omits the full-vector rows."""
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}", field="rounds")
+    for name, value in (("rounds", rounds), ("m", m), ("tau", tau), ("P", perturbations)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}", field=name)
     if dim is not None and dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}", field="dim")
     meter = CommMeter(cost=cost)
@@ -361,8 +371,7 @@ def sweep(spec: dict, nu_list=None, tau_list=None, p_list=None, eta_list=None,
     rounds_to_threshold is measured against the initial loss divided by
     loss_factor; None means the budget R never reached it.
     """
-    task = build_task(spec["task"])
-    base = build_round_config(spec["round"])
+    task, base = _build(spec)
     # None means "hold at the base value"; an explicitly empty list is an
     # empty grid and yields an empty table
     nu_list = [base.nu] if nu_list is None else list(nu_list)
@@ -378,9 +387,7 @@ def sweep(spec: dict, nu_list=None, tau_list=None, p_list=None, eta_list=None,
     initial = task.global_loss(np.asarray(task.x0, dtype=np.float64))
     rows = []
     for nu, tau, P, eta in combos:
-        from dataclasses import replace as dc_replace
-
-        config = dc_replace(base, nu=nu, tau=tau, perturbations=P, eta=eta)
+        config = replace(base, nu=nu, tau=tau, perturbations=P, eta=eta)
         result = run_training(config, task)
         losses = result.losses()
         rows.append({

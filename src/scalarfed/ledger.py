@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import LedgerFormatError, LedgerRangeError, ProtocolOrderError
+from .errors import ConfigError, LedgerFormatError, LedgerRangeError, ProtocolOrderError
 
 _MAGIC = b"SFLG"
 _VERSION = 1
@@ -115,10 +115,7 @@ _HEADER = struct.Struct("<4sHHHHQI")
 
 
 def serialize(ledger: Ledger, root_seed: int = 0) -> bytes:
-    if ledger.logs:
-        tau, P = ledger.logs[0].scalars.shape
-    else:
-        tau, P = 0, 0
+    tau, P = ledger.logs[0].scalars.shape if ledger.logs else (0, 0)
     out = [_HEADER.pack(_MAGIC, _VERSION, 0, tau, P, root_seed, ledger.num_clients)]
     for i in range(ledger.num_clients):
         out.append(struct.pack("<Q", ledger.last_participation[i]))
@@ -184,6 +181,12 @@ class WireCostModel:
     bytes_per_scalar: int = 4
     bytes_per_seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("bytes_per_scalar", 1), ("bytes_per_seed", 0)):
+            if not getattr(self, name) >= least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}",
+                                  field=name)
+
 
 @dataclass(frozen=True)
 class CommMeter:
@@ -206,9 +209,8 @@ def meter_round(
     """
     per_step = tau * perturbations
     up = m * per_step * meter.cost.bytes_per_scalar
-    down = 0
-    for missed in missed_logs_per_client:
-        down += missed * per_step * (meter.cost.bytes_per_scalar + meter.cost.bytes_per_seed)
+    down = sum(missed_logs_per_client) * per_step * (meter.cost.bytes_per_scalar
+                                                     + meter.cost.bytes_per_seed)
     return replace(
         meter,
         uplink_bytes=meter.uplink_bytes + up,
@@ -224,19 +226,16 @@ def per_client_scalar_bytes(rounds: int, tau: int, perturbations: int,
     round's tau*P aggregated scalars; this is the per-client figure the
     published communication-cost tables use.
     """
-    per_round = tau * perturbations * cost.bytes_per_scalar * 2 \
-        + tau * perturbations * cost.bytes_per_seed
-    return rounds * per_round
+    return rounds * tau * perturbations * (2 * cost.bytes_per_scalar + cost.bytes_per_seed)
 
 
-def full_vector_bytes(dim: int, rounds: int = 1, clients: int = 1,
-                      directions: int = 1, bytes_per_param: int = 4) -> int:
-    """Byte cost of shipping full parameter vectors instead of scalars.
+def full_vector_bytes(dim: int) -> int:
+    """Byte cost of shipping one full parameter vector of 32-bit floats.
 
     This is the formula-only comparison row (model push or pull = d floats);
     first-order federated baselines pay it in both directions every round.
     """
-    return dim * bytes_per_param * rounds * clients * directions
+    return 4 * dim
 
 
 def format_bytes(n: int) -> str:

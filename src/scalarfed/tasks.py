@@ -1,14 +1,16 @@
-"""Desk-scale federated objectives with known ground truth.
+"""Desk-scale federated objectives.
 
-Two task families carry all the checkable properties: quadratics with a
-controlled diagonal spectrum (exact gradients, exact curvature, so estimator
-bias/variance and the preconditioner diagnostics are verifiable against
-closed forms) and synthetic regularized logistic regression with a Dirichlet
-non-IID shard assignment (a real stochastic-batch loss surface, still small
-enough to evaluate globally in milliseconds).
+A task gives the simulator `dim`, `num_clients`, `x0`, `draw_batch`,
+`client_loss` and `global_loss`, and, where the Hessian is diagonal in closed
+form, `curvature_truth()` for the preconditioner diagnostics. Two families:
+quadratics with a controlled diagonal spectrum (exact curvature, so the
+diagnostics are checkable against closed forms) and synthetic regularized
+logistic regression with a Dirichlet non-IID shard assignment (a real
+stochastic-batch loss surface, still small enough to evaluate globally in
+milliseconds).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,10 +100,6 @@ class QuadraticTask:
         d = x - self.centers[client]
         return 0.5 * float(d @ self._apply_A(d))
 
-    def client_grad(self, client: int, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient; oracle only, never consumed by the optimizer."""
-        return self._apply_A(x - self.centers[client])
-
     @cached_property
     def _center_stats(self):
         """(mean center c, mean_i 0.5 (c_i - c)^T A (c_i - c)), one row at a time."""
@@ -114,19 +112,12 @@ class QuadraticTask:
         d = x - mean
         return 0.5 * float(d @ self._apply_A(d)) + spread
 
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        return self._apply_A(x - self._center_stats[0])
-
-    def hessian_diag(self) -> np.ndarray:
-        if self.rotation is None:
-            return self.spectrum.copy()
-        return np.einsum("ij,j,ij->i", self.rotation.T, self.spectrum, self.rotation.T)
-
     def curvature_truth(self):
-        """(diagonal Sigma, L) for the preconditioner diagnostics; only
-        meaningful without rotation, where the Hessian is exactly diagonal."""
-        sigma = self.hessian_diag()
-        return sigma, float(self.spectrum.max())
+        """(diagonal Sigma, L) for the preconditioner diagnostics; None under
+        rotation, where the Hessian is not diagonal."""
+        if self.rotation is not None:
+            return None
+        return self.spectrum.copy(), float(self.spectrum.max())
 
 
 @dataclass(frozen=True)
@@ -139,9 +130,6 @@ class DirichletPartition:
 
     def shard(self, client: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == client)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.num_clients)
 
 
 def partition_dirichlet(labels, num_clients: int, alpha: float, seed: int,
@@ -179,15 +167,6 @@ def partition_dirichlet(labels, num_clients: int, alpha: float, seed: int,
     )
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass(frozen=True)
 class LogisticTask:
     """L2-regularized logistic regression on synthetic Gaussian class blobs,
@@ -198,13 +177,10 @@ class LogisticTask:
     partition: DirichletPartition
     l2: float = 0.0
     batch_size: int = 32
-    _shards: tuple = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_shards",
-            tuple(self.partition.shard(i) for i in range(self.partition.num_clients)),
-        )
+    @cached_property
+    def _shards(self):
+        return tuple(self.partition.shard(i) for i in range(self.num_clients))
 
     @classmethod
     def build(cls, dim, num_clients, seed, n_samples=2000, alpha=1.0,
@@ -251,39 +227,7 @@ class LogisticTask:
         return float(losses.mean() + 0.5 * self.l2 * (x @ x))
 
     def client_loss(self, client: int, x: np.ndarray, batch=None) -> float:
-        idx = self._shards[client] if batch is None else batch
-        return self._loss_on(idx, x)
-
-    def client_grad(self, client: int, x: np.ndarray, batch=None) -> np.ndarray:
-        idx = self._shards[client] if batch is None else batch
-        phi = self.features[idx]
-        y = 2.0 * self.labels[idx] - 1.0
-        s = _sigmoid(-y * (phi @ x))
-        return -(phi * (s * y)[:, None]).mean(axis=0) + self.l2 * x
+        return self._loss_on(self._shards[client] if batch is None else batch, x)
 
     def global_loss(self, x: np.ndarray) -> float:
         return self._loss_on(np.arange(self.labels.shape[0]), x)
-
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        phi = self.features
-        y = 2.0 * self.labels - 1.0
-        s = _sigmoid(-y * (phi @ x))
-        return -(phi * (s * y)[:, None]).mean(axis=0) + self.l2 * x
-
-    def hessian_diag(self, x: np.ndarray = None) -> np.ndarray:
-        """Gauss-Newton diagonal: mean of s(1-s) * phi_j^2 plus the ridge."""
-        x = np.zeros(self.dim) if x is None else x
-        p = _sigmoid(self.features @ x)
-        w = p * (1.0 - p)
-        return (self.features**2 * w[:, None]).mean(axis=0) + self.l2
-
-
-def heterogeneity_sigma(task, probes) -> float:
-    """Observable for the bounded-heterogeneity constant: the largest
-    client-vs-global gradient gap over a set of probe points."""
-    worst = 0.0
-    for x in probes:
-        g = task.global_grad(x)
-        for i in range(task.num_clients):
-            worst = max(worst, float(np.linalg.norm(task.client_grad(i, x) - g)))
-    return worst

@@ -1,5 +1,6 @@
 """The narrative demos run to completion against the current library."""
 
+import glob
 import os
 import subprocess
 import sys
@@ -7,10 +8,10 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
-@pytest.mark.parametrize("demo", ["01_scalar_wire_walkthrough.py", "03_protocol_vs_oracle.py",
-                                  "04_communication_accounting.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=tmp_path,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from scalarfed import fedsim
-from scalarfed import (ClientState, DirectionProvider, QuadraticTask,
+from scalarfed import (ClientState, DiagHessian, DirectionProvider, QuadraticTask,
                        RoundConfig, ServerState, client_local_update, client_rebuild,
-                       fetch_since, gaussian_vector, run_training, sample_clients,
-                       serialize, server_aggregate)
+                       fetch_since, gaussian_vector, inv_sqrt, run_training,
+                       sample_clients, scale_direction, serialize, server_aggregate)
 from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
 from scalarfed.fedsim import _last_use, _replay, aggregate_scalars
 from scalarfed.harness import fuzz_config
@@ -484,15 +484,24 @@ def test_run_loss_trace_is_mean_client_loss(rotate):
         assert rec["loss"] == pytest.approx(per_client, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("rotate", [False, True])
-def test_global_grad_is_gradient_at_mean_center(rotate):
-    task = QuadraticTask.build(dim=40, num_clients=7, seed=31, offset_scale=0.5, shift=0.3,
-                               rotate=rotate)
-    task.global_loss(task.x0)  # the mean center is cached from here on
-    for j in range(3):
-        x = gaussian_vector(mix(9, j), 40)
-        expected = task._apply_A(x - task.centers.mean(axis=0))
-        assert task.global_grad(x).tobytes() == expected.tobytes()
+def test_local_update_mean_step_is_preconditioned_gradient():
+    # tau = 1 on a diagonal quadratic: the P steps g_p z_p, rebuilt from the
+    # returned scalars and the provider's directions scaled by inv_sqrt(H),
+    # average to H^-1 A (x - c_i), the preconditioned client gradient
+    task = QuadraticTask.build(dim=8, num_clients=3, seed=61, spectrum_variance=1.0,
+                               offset_scale=0.5, x0_scale=1.0)
+    cfg = RoundConfig(num_clients=3, sampled_per_round=1, rounds=1, eta=0.01, tau=1,
+                      perturbations=4096, mu=1e-6, root_seed=62).validate()
+    H = DiagHessian(diag=np.geomspace(0.25, 4.0, 8)[[3, 7, 0, 5, 1, 6, 2, 4]])
+    client = ClientState(id=1, model=task.x0.copy(), hessian=H)
+    provider = DirectionProvider(cfg.schedule(), task.dim)
+    scalars = client_local_update(client, 0, cfg, task, provider)
+    isH = inv_sqrt(H)
+    steps = np.stack([g * scale_direction(provider.u(0, 0, p), isH)
+                      for p, g in enumerate(scalars[0])])
+    target = task.spectrum * (client.model - task.centers[1]) / H.diag
+    se = steps.std(axis=0) / np.sqrt(len(steps))
+    assert np.all(np.abs(steps.mean(axis=0) - target) <= 3 * se)
 
 
 def cached_bytes(provider):

@@ -74,6 +74,17 @@ def test_verify_equivalence_pinned_seeds():
         assert report.checks[0].measured == 0.0
 
 
+def test_verify_equivalence_tolerance_follows_transport(capsys):
+    report = harness.verify_equivalence(fuzz_count=2, seed=1, transport="natural")
+    assert report.passed
+    assert [c.tolerance for c in report.checks] == [1e-9, 1e-9]
+    assert main(["verify-equivalence", "--fuzz", "1", "--transport", "natural"]) == 0
+    assert "tol=1.000e-09" in capsys.readouterr().out
+    with pytest.raises(ConfigError) as err:
+        harness.verify_equivalence(fuzz_count=1, transport="replay")
+    assert err.value.field == "transport"
+
+
 def test_account_table_rows():
     row = harness.account(rounds=550, m=2, tau=1, perturbations=5)
     assert row["metered_uplink_bytes"] == 550 * 2 * 5 * 4
@@ -210,10 +221,41 @@ def test_run_spec_hessian_dump(tmp_path):
 def test_quadratic_shift_moves_optimum():
     task = harness.build_task({"kind": "quadratic", "dim": 6, "num_clients": 3,
                                "seed": 4, "offset_scale": 0.1, "shift": 2.0})
-    assert np.allclose(task.global_grad(np.full(6, 2.0)), 0.0, atol=1e-12)
+    # offsets are centered, so the global optimum (the mean center) is the shift
+    assert np.allclose(task.centers.mean(axis=0), 2.0, atol=1e-12)
 
 
 def test_account_rejects_zero_dim():
     with pytest.raises(ConfigError) as err:
         harness.account(rounds=10, dim=0)
     assert err.value.field == "dim"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["account", "--rounds", "10", "--m", "0"], "m"),
+    (["account", "--rounds", "10", "--tau", "0"], "tau"),
+    (["account", "--rounds", "10", "--P", "-1"], "P"),
+    (["account", "--rounds", "10", "--bytes-per-scalar", "-4"], "bytes_per_scalar"),
+    (["run", "{negative_bytes}"], "bytes_per_scalar"),
+    (["verify-lemmas", "--samples", "0"], "samples"),
+    (["verify-lemmas", "--dim", "0"], "dim"),
+    (["run", "{missing}"], "spec"),
+    (["run", "{malformed}"], "spec"),
+    (["sweep", "{missing}"], "spec"),
+    (["sweep", "{malformed}"], "spec"),
+    (["sweep", "{spec}", "--nu", "0.1,abc"], "nu"),
+], ids=["account-m-0", "account-tau-0", "account-P-negative", "account-bytes-negative",
+        "run-bytes-negative", "lemmas-samples-0", "lemmas-dim-0", "run-missing-spec",
+        "run-malformed-spec", "sweep-missing-spec", "sweep-malformed-spec",
+        "sweep-bad-list"])
+def test_cli_bad_input_exits_2_naming_field(tmp_path, capsys, argv, field):
+    negative_bytes = quad_spec()
+    negative_bytes["round"]["bytes_per_scalar"] = -4
+    paths = {"spec": tmp_path / "spec.json", "negative_bytes": tmp_path / "bytes.json",
+             "missing": tmp_path / "missing.json", "malformed": tmp_path / "bad.json"}
+    paths["spec"].write_text(json.dumps(quad_spec(R=2)))
+    paths["negative_bytes"].write_text(json.dumps(negative_bytes))
+    paths["malformed"].write_text('{"task": ')
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
