@@ -19,6 +19,7 @@ That discipline is what makes replay, rebuild and the full-vector oracle
 agree to the last bit, not merely to rounding error.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +30,22 @@ from .errors import ConfigError, EstimatorFailureError, ProtocolOrderError
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
 from .rng import SeedSchedule, gaussian_vector, sample_without_replacement
 from .zo import multi_perturbation_delta, scale_direction
+
+
+_INT = (numbers.Integral, "an integer")
+_REAL = (numbers.Real, "a real number")
+
+# (spec field, attribute, type, requirement): every field's type is checked
+# before any range check or the seed grid sees its value
+_FIELD_TYPES = (
+    ("M", "num_clients", *_INT), ("m", "sampled_per_round", *_INT), ("R", "rounds", *_INT),
+    ("tau", "tau", *_INT), ("P", "perturbations", *_INT), ("eta", "eta", *_REAL),
+    ("mu", "mu", *_REAL), ("nu", "nu", *_REAL), ("epsilon", "epsilon", *_REAL),
+    ("beta_lower", "beta_lower", *_REAL), ("beta_upper", "beta_upper", *_REAL),
+    ("root_seed", "root_seed", *_INT), ("sampling_seed", "sampling_seed", *_INT),
+    ("algorithm", "algorithm", str, "a string"),
+    ("quantize_wire", "quantize_wire", bool, "true or false"),
+)
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,11 @@ class RoundConfig:
     cost_model: WireCostModel = field(default_factory=WireCostModel)
 
     def validate(self):
+        for name, attr, kind, requirement in _FIELD_TYPES:
+            value = getattr(self, attr)
+            # bool is an Integral (and Real): True must not mean one round
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f"{attr} must be {requirement}, got {value!r}", field=name)
         # (spec field, attribute, holds, requirement), checked in this order
         checks = (
             ("M", "num_clients", self.num_clients >= 1, ">= 1"),

@@ -281,6 +281,9 @@ def verify_equivalence(fuzz_count: int = 20, seed: int = 0,
     if transport not in _ORACLE_TOLERANCE:
         raise ConfigError(f"oracle transport must be 'direct' or 'natural', got {transport!r}",
                           field="transport")
+    if fuzz_count < 1:
+        # all() over no checks is true: an empty report must not pass
+        raise ConfigError(f"fuzz count must be >= 1, got {fuzz_count}", field="fuzz")
     tol = _ORACLE_TOLERANCE[transport]
     report = VerificationReport(seed=seed)
     for i in range(fuzz_count):

@@ -32,19 +32,25 @@ DOMAIN_BATCH = 0x165667B19E3779F9
 DOMAIN_TASK = 0x27D4EB2F165667C5
 
 
-def splitmix64(x: int) -> int:
-    """One splitmix64 finalizer step (bijective on 64-bit integers)."""
+def splitmix64(x):
+    """One splitmix64 finalizer step (bijective on 64-bit integers).
+
+    Takes a Python int or a uint64 array (array arithmetic wraps, which is
+    the masking); never a numpy scalar, whose overflow warns.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
-def mix(*parts: int) -> int:
+def mix(*parts):
     """Fold integers into one well-mixed 64-bit seed.
 
     Pure and order-sensitive: mix(a, b) != mix(b, a) in general. Offsetting
     each part by 1 keeps zero-valued indices from collapsing into the chain.
+    Parts may be Python ints or broadcastable uint64 arrays; array parts give
+    the seeds of every cell at once, equal to the scalar fold cell by cell.
     """
     h = 0
     for p in parts:
@@ -52,9 +58,26 @@ def mix(*parts: int) -> int:
     return h
 
 
+# Constructing a Philox draws OS entropy that `key=` then discards, a fixed
+# cost larger than a short stream: every stream re-keys this one instead.
+_PHILOX = np.random.Philox(key=0)
+_ZERO4 = (0, 0, 0, 0)
+
+
 def raw_uint64(seed: int, n: int) -> np.ndarray:
-    """First n words of the Philox-4x64-10 counter stream keyed by seed."""
-    return np.random.Philox(key=seed & _MASK64).random_raw(n)
+    """First n words of the Philox-4x64-10 counter stream keyed by seed.
+
+    A stream is fixed by (key, counter = 0), and the shared generator's whole
+    state, output buffer included, is reset to that before each draw: the
+    words are a pure function of (seed, n), those of a fresh
+    `np.random.Philox(key=seed)`. Sharing it makes the library single-threaded.
+    """
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": (seed & _MASK64, 0)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _PHILOX.random_raw(n)
 
 
 def gaussian_vector(seed: int, dim: int) -> np.ndarray:
@@ -124,14 +147,19 @@ class SeedSchedule:
         return mix(self.root, DOMAIN_BATCH, client, r, k)
 
     def validate_grid(self, rounds: int, tau: int, perturbations: int) -> None:
-        """Configuration-time injectivity check over the declared run grid."""
-        seen = set()
-        for r in range(rounds):
-            for k in range(tau):
-                for p in range(perturbations):
-                    s = self.perturbation_seed(r, k, p)
-                    if s in seen:
-                        raise SeedCollisionError(
-                            f"seed collision at (round={r}, step={k}, perturbation={p})"
-                        )
-                    seen.add(s)
+        """Configuration-time injectivity check over the declared run grid.
+
+        All R x tau x P seeds come from one array call of perturbation_seed;
+        a collision names the first repeated cell in round-major order.
+        """
+        shape = (rounds, tau, perturbations)
+        r = np.arange(rounds, dtype=np.uint64)[:, None, None]
+        k = np.arange(tau, dtype=np.uint64)[:, None]
+        p = np.arange(perturbations, dtype=np.uint64)
+        seeds = np.broadcast_to(self.perturbation_seed(r, k, p), shape).ravel()
+        if np.unique(seeds).size == seeds.size:
+            return
+        repeated = np.ones(seeds.size, dtype=bool)
+        repeated[np.unique(seeds, return_index=True)[1]] = False
+        r, k, p = (int(i) for i in np.unravel_index(np.flatnonzero(repeated)[0], shape))
+        raise SeedCollisionError(f"seed collision at (round={r}, step={k}, perturbation={p})")

@@ -152,6 +152,30 @@ def test_cli_rejects_bad_curvature_fields_with_exit_code_2(tmp_path, capsys, fie
     assert f"(field: {field})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", "2"), ("R", 3.5), ("eta", "0.001"), ("nu", None), ("quantize_wire", "no"),
+    ("R", True),
+], ids=["tau-string", "R-float", "eta-string", "nu-null", "quantize-string", "R-bool"])
+def test_cli_rejects_mistyped_round_fields_with_exit_code_2(tmp_path, capsys, field, value):
+    # a wrong type must neither crash nor run with another meaning
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(quad_spec(**{field: value})))
+    assert main(["run", str(spec_path)]) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+
+
+def test_round_config_accepts_numpy_numbers():
+    config = harness.build_round_config({"M": np.int64(4), "m": 2, "R": np.uint64(3),
+                                         "eta": np.float64(0.02), "mu": np.float32(1e-3)})
+    assert config.rounds == 3
+
+
+def test_cli_verify_equivalence_refuses_zero_fuzz(capsys):
+    # an empty report would pass: all() over no checks is true
+    assert main(["verify-equivalence", "--fuzz", "0"]) == 2
+    assert "(field: fuzz)" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_estimator_failure_names_client(tmp_path, capsys):
     # the first step throws the model so far that every client's loss overflows

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scalarfed import (LogisticTask, QuadraticTask, make_lognormal_spectrum,
-                       partition_dirichlet)
+                       partition_dirichlet, rng)
 from scalarfed.errors import ConfigError, InvalidDimensionError
 
 
@@ -59,6 +59,26 @@ def test_quadratic_curvature_truth():
     sigma, L = task.curvature_truth()
     assert np.array_equal(sigma, task.spectrum)
     assert L == task.spectrum.max()
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+@pytest.mark.parametrize("offset_scale", [0.0, 0.3])
+def test_quadratic_centers_equal_the_stacked_formula(shift, offset_scale):
+    # the in-place build must reproduce shift + scale * (offsets - mean) bit for bit
+    dim, M, seed = 9, 5, 13
+    offsets = np.stack([rng.gaussian_vector(rng.mix(seed, rng.DOMAIN_TASK, 1, i), dim)
+                        for i in range(M)])
+    offsets -= offsets.mean(axis=0)
+    expected = shift + offset_scale * offsets
+    task = QuadraticTask.build(dim=dim, num_clients=M, seed=seed,
+                               offset_scale=offset_scale, shift=shift)
+    assert task.centers.tobytes() == expected.tobytes()
+
+
+def test_quadratic_rejects_zero_clients():
+    with pytest.raises(ConfigError) as err:
+        QuadraticTask.build(dim=4, num_clients=0, seed=1)
+    assert err.value.field == "num_clients"
 
 
 def test_heterogeneity_knob_monotone():
