@@ -1,4 +1,6 @@
-"""Exception types raised by the simulator."""
+"""Exception types raised by the simulator, and the checks every config runs."""
+
+import numbers
 
 
 class ScalarFedError(Exception):
@@ -53,3 +55,23 @@ class ConfigError(ScalarFedError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+# bool is an Integral (and a Real), but True must not mean one round
+_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+           bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def check_type(name: str, value, annotation, field: str = None):
+    """ConfigError naming `field` (default: `name`) unless `value` fits its
+    annotation: int admits any Integral and float any Real (so numpy numbers
+    pass), neither a bool; another class admits its instances."""
+    kind, requirement = _ADMITS.get(annotation) or (annotation, f"a {annotation.__name__}")
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be {requirement}, got {value!r}", field=field or name)
+
+
+def check_range(name: str, value, holds: bool, requirement: str, field: str = None):
+    """ConfigError naming `field` (default: `name`) unless `holds`."""
+    if not holds:
+        raise ConfigError(f"{name} must be {requirement}, got {value!r}", field=field or name)

@@ -19,38 +19,27 @@ That discipline is what makes replay, rebuild and the full-vector oracle
 agree to the last bit, not merely to rounding error.
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curvature import DiagHessian, diagnostics, ema_update, inv_sqrt
-from .errors import ConfigError, EstimatorFailureError, ProtocolOrderError
+from .curvature import (DEFAULT_BETA_LOWER, DEFAULT_BETA_UPPER, DEFAULT_EPSILON, DEFAULT_NU,
+                        DiagHessian, diagnostics, ema_update, inv_sqrt)
+from .errors import EstimatorFailureError, ProtocolOrderError, check_range, check_type
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
 from .rng import SeedSchedule, gaussian_vector, sample_without_replacement
 from .zo import multi_perturbation_delta, scale_direction
 
 
-_INT = (numbers.Integral, "an integer")
-_REAL = (numbers.Real, "a real number")
-
-# (spec field, attribute, type, requirement): every field's type is checked
-# before any range check or the seed grid sees its value
-_FIELD_TYPES = (
-    ("M", "num_clients", *_INT), ("m", "sampled_per_round", *_INT), ("R", "rounds", *_INT),
-    ("tau", "tau", *_INT), ("P", "perturbations", *_INT), ("eta", "eta", *_REAL),
-    ("mu", "mu", *_REAL), ("nu", "nu", *_REAL), ("epsilon", "epsilon", *_REAL),
-    ("beta_lower", "beta_lower", *_REAL), ("beta_upper", "beta_upper", *_REAL),
-    ("root_seed", "root_seed", *_INT), ("sampling_seed", "sampling_seed", *_INT),
-    ("algorithm", "algorithm", str, "a string"),
-    ("quantize_wire", "quantize_wire", bool, "true or false"),
-)
+# run-spec names of the fields whose spec name is not the attribute name
+SPEC_NAMES = {"num_clients": "M", "sampled_per_round": "m", "rounds": "R",
+              "perturbations": "P"}
 
 
 @dataclass(frozen=True)
 class RoundConfig:
-    """Everything a run needs besides the task itself."""
+    """Everything a run needs besides the task itself; valid once constructed."""
 
     num_clients: int
     sampled_per_round: int
@@ -59,47 +48,42 @@ class RoundConfig:
     tau: int = 1
     perturbations: int = 1
     mu: float = 1e-3
-    nu: float = 0.05
-    epsilon: float = 1e-8
-    beta_lower: float = 1e-6
-    beta_upper: float = 1e6
+    nu: float = DEFAULT_NU
+    epsilon: float = DEFAULT_EPSILON
+    beta_lower: float = DEFAULT_BETA_LOWER
+    beta_upper: float = DEFAULT_BETA_UPPER
     root_seed: int = 0
     sampling_seed: int = 1
     algorithm: str = "hiso"           # "hiso" | "decomfl" (forces nu = 0)
     quantize_wire: bool = False
     cost_model: WireCostModel = field(default_factory=WireCostModel)
 
-    def validate(self):
-        for name, attr, kind, requirement in _FIELD_TYPES:
-            value = getattr(self, attr)
-            # bool is an Integral (and Real): True must not mean one round
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise ConfigError(f"{attr} must be {requirement}, got {value!r}", field=name)
-        # (spec field, attribute, holds, requirement), checked in this order
+    def __post_init__(self):
+        # construction (`replace` too) checks every type first, as the range
+        # checks compare values, then the ranges, then the seed grid
+        for attr, annotation in RoundConfig.__annotations__.items():
+            check_type(attr, getattr(self, attr), annotation, SPEC_NAMES.get(attr))
+        # (attribute, holds, requirement), checked in this order
         checks = (
-            ("M", "num_clients", self.num_clients >= 1, ">= 1"),
-            ("m", "sampled_per_round", 1 <= self.sampled_per_round <= self.num_clients, "in [1, M]"),
-            ("tau", "tau", self.tau >= 1, ">= 1"),
-            ("P", "perturbations", self.perturbations >= 1, ">= 1"),
-            ("eta", "eta", 0 < self.eta < np.inf, "positive and finite"),
-            ("mu", "mu", 0 < self.mu < np.inf, "positive and finite"),
-            ("R", "rounds", self.rounds >= 1, ">= 1"),
-            ("algorithm", "algorithm", self.algorithm in ("hiso", "decomfl"), "hiso or decomfl"),
-            ("nu", "nu", 0 <= self.nu <= 1, "in [0, 1]"),
-            ("epsilon", "epsilon", self.epsilon > 0, "positive"),
+            ("num_clients", self.num_clients >= 1, ">= 1"),
+            ("sampled_per_round", 1 <= self.sampled_per_round <= self.num_clients, "in [1, M]"),
+            ("tau", self.tau >= 1, ">= 1"),
+            ("perturbations", self.perturbations >= 1, ">= 1"),
+            ("eta", 0 < self.eta < np.inf, "positive and finite"),
+            ("mu", 0 < self.mu < np.inf, "positive and finite"),
+            ("rounds", self.rounds >= 1, ">= 1"),
+            ("algorithm", self.algorithm in ("hiso", "decomfl"), "hiso or decomfl"),
+            ("nu", 0 <= self.nu <= 1, "in [0, 1]"),
+            ("epsilon", self.epsilon > 0, "positive"),
             # the identity start needs 1 inside the clipping bounds
-            ("beta_lower", "beta_lower", 0 < self.beta_lower <= 1, "in (0, 1]"),
-            ("beta_upper", "beta_upper", self.beta_upper >= 1, ">= 1"),
-            ("root_seed", "root_seed", 0 <= self.root_seed < 2**64, "in [0, 2**64)"),
-            ("sampling_seed", "sampling_seed", 0 <= self.sampling_seed < 2**64, "in [0, 2**64)"),
+            ("beta_lower", 0 < self.beta_lower <= 1, "in (0, 1]"),
+            ("beta_upper", self.beta_upper >= 1, ">= 1"),
+            ("root_seed", 0 <= self.root_seed < 2**64, "in [0, 2**64)"),
+            ("sampling_seed", 0 <= self.sampling_seed < 2**64, "in [0, 2**64)"),
         )
-        for name, attr, holds, requirement in checks:
-            if not holds:
-                raise ConfigError(f"{attr} must be {requirement}, got {getattr(self, attr)!r}",
-                                  field=name)
-        schedule = self.schedule()
-        schedule.validate_grid(self.rounds, self.tau, self.perturbations)
-        return self
+        for attr, holds, requirement in checks:
+            check_range(attr, getattr(self, attr), holds, requirement, SPEC_NAMES.get(attr))
+        self.schedule().validate_grid(self.rounds, self.tau, self.perturbations)
 
     def schedule(self) -> SeedSchedule:
         return SeedSchedule(root=self.root_seed)
@@ -379,14 +363,10 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     rebuild copies before it advances. Where the task's optional
     `curvature_truth()` returns (Sigma, L), each record carries the diagnostics.
     """
-    config.validate()
-    if transport not in ("replay", "direct", "natural"):
-        raise ConfigError(f"unknown transport {transport!r}", field="transport")
-    if task.num_clients != config.num_clients:
-        raise ConfigError(
-            f"task has {task.num_clients} clients, config says {config.num_clients}",
-            field="M",
-        )
+    check_range("transport", transport, transport in ("replay", "direct", "natural"),
+                "replay, direct or natural")
+    check_range("task num_clients", task.num_clients, task.num_clients == config.num_clients,
+                f"the config's M = {config.num_clients}", SPEC_NAMES["num_clients"])
     dim = task.dim
     truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
     plan = [sample_clients(config.num_clients, config.sampled_per_round, r,

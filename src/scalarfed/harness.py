@@ -9,14 +9,14 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import rng
 from .curvature import fourth_moment_weighted
-from .errors import ConfigError
-from .fedsim import RoundConfig, run_training
+from .errors import ConfigError, check_range, check_type
+from .fedsim import SPEC_NAMES, RoundConfig, run_training
 from .ledger import (CommMeter, WireCostModel, format_bytes, full_vector_bytes,
                      meter_round, per_client_scalar_bytes)
 from .tasks import LogisticTask, QuadraticTask
@@ -24,42 +24,45 @@ from .tasks import LogisticTask, QuadraticTask
 
 # --- run specs ----------------------------------------------------------------
 
-_ROUND_FIELDS = {
-    "M": "num_clients", "m": "sampled_per_round", "R": "rounds", "eta": "eta",
-    "tau": "tau", "P": "perturbations", "mu": "mu", "nu": "nu",
-    "epsilon": "epsilon", "beta_lower": "beta_lower", "beta_upper": "beta_upper",
-    "root_seed": "root_seed", "sampling_seed": "sampling_seed",
-    "algorithm": "algorithm", "quantize_wire": "quantize_wire",
-}
+_TASK_BUILDERS = (("quadratic", QuadraticTask.build), ("logistic", LogisticTask.build))
+# run-spec name -> RoundConfig attribute; cost_model is built from the bytes_per_* keys
+_ROUND_FIELDS = {SPEC_NAMES.get(f.name, f.name): f.name for f in fields(RoundConfig)
+                 if f.name != "cost_model"}
+
+
+def _check_section(spec: dict, annotations: dict, defaults: dict, section: str):
+    """ConfigError naming a spec section's first unknown, mistyped or missing key."""
+    for key, value in spec.items():
+        if key not in annotations:
+            raise ConfigError(f"unknown {section} field {key!r}", field=key)
+        check_type(key, value, annotations[key])
+    for key in annotations:
+        if key not in spec and key not in defaults:
+            raise ConfigError(f"{section} needs {key!r}", field=key)
 
 
 def build_task(task_spec: dict):
+    """The task of a spec's 'task' section, its keys checked before the call."""
     spec = dict(task_spec)
     kind = spec.pop("kind", None)
-    try:
-        if kind == "quadratic":
-            return QuadraticTask.build(**spec)
-        if kind == "logistic":
-            return LogisticTask.build(**spec)
-    except TypeError as exc:
-        raise ConfigError(f"bad task parameters: {exc}", field="task") from exc
-    raise ConfigError(f"unknown task kind {kind!r}", field="task.kind")
+    # compared, not looked up: an unhashable kind must still be named
+    builder = next((build for name, build in _TASK_BUILDERS if name == kind), None)
+    if builder is None:
+        raise ConfigError(f"unknown task kind {kind!r}", field="task.kind")
+    _check_section(spec, builder.__annotations__, builder.__kwdefaults__, f"{kind} task")
+    return builder(**spec)
 
 
 def build_round_config(round_spec: dict) -> RoundConfig:
     spec = dict(round_spec)
-    cost = WireCostModel(
-        bytes_per_scalar=spec.pop("bytes_per_scalar", 4),
-        bytes_per_seed=spec.pop("bytes_per_seed", 0),
-    )
+    cost = WireCostModel(**{key: spec.pop(key) for key in WireCostModel.__annotations__
+                            if key in spec})
     kwargs = {"cost_model": cost}
     for key, value in spec.items():
         if key not in _ROUND_FIELDS:
             raise ConfigError(f"unknown round field {key!r}", field=key)
         kwargs[_ROUND_FIELDS[key]] = value
-    config = RoundConfig(**kwargs)
-    config.validate()
-    return config
+    return RoundConfig(**kwargs)
 
 
 def load_spec(path: str) -> dict:
@@ -72,18 +75,19 @@ def load_spec(path: str) -> dict:
 
 def _build(spec):
     """(task, config) from a spec's 'task' and 'round' sections."""
-    if not isinstance(spec, dict) or "task" not in spec or "round" not in spec:
-        raise ConfigError("spec needs 'task' and 'round' sections", field="spec")
+    check_type("spec", spec, dict)
+    _check_section(spec, {"task": dict, "round": dict, "dump_hessian": bool},
+                   {"dump_hessian": False}, "spec")
     return build_task(spec["task"]), build_round_config(spec["round"])
 
 
 def run_spec(spec: dict, output_dir=None):
     """Execute a declarative spec: build the task, run training, emit files."""
     task, config = _build(spec)
-    result = run_training(config, task, keep_models=bool(spec.get("keep_models", False)))
+    result = run_training(config, task)
     if output_dir is not None:
         write_trace(result.trace, output_dir)
-        if spec.get("dump_hessian", False):
+        if spec.get("dump_hessian"):
             path = os.path.join(output_dir, "hessian_diag.f64")
             result.server.hessian.diag.astype("<f8").tofile(path)
     return result
@@ -180,10 +184,8 @@ def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0,
         equals the true gradient exactly (odd moments vanish), tested to
         three standard errors per coordinate.
     """
-    if not 1 <= dim <= 6:
-        raise ConfigError(f"fourth-moment checks need 1 <= dim <= 6, got {dim}", field="dim")
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}", field="samples")
+    check_range("dim", dim, 1 <= dim <= 6, "in [1, 6] for the fourth-moment checks")
+    check_range("samples", samples, samples >= 1, ">= 1")
     report = VerificationReport(seed=seed)
     # 3% absorbs the Monte Carlo noise of fourth moments at 1e6 draws; the
     # gate scales as 1/sqrt(N) when run with a different budget
@@ -278,12 +280,10 @@ def verify_equivalence(fuzz_count: int = 20, seed: int = 0,
     only thing that can break the equality. Against the "natural" oracle,
     which averages delta vectors, agreement is to 1e-9.
     """
-    if transport not in _ORACLE_TOLERANCE:
-        raise ConfigError(f"oracle transport must be 'direct' or 'natural', got {transport!r}",
-                          field="transport")
-    if fuzz_count < 1:
-        # all() over no checks is true: an empty report must not pass
-        raise ConfigError(f"fuzz count must be >= 1, got {fuzz_count}", field="fuzz")
+    check_range("oracle transport", transport, transport in _ORACLE_TOLERANCE,
+                "direct or natural", "transport")
+    # all() over no checks is true: an empty report must not pass
+    check_range("fuzz count", fuzz_count, fuzz_count >= 1, ">= 1", "fuzz")
     tol = _ORACLE_TOLERANCE[transport]
     report = VerificationReport(seed=seed)
     for i in range(fuzz_count):
@@ -312,10 +312,9 @@ def account(rounds: int, m: int = 2, tau: int = 1, perturbations: int = 5,
     """Byte accounting for one run length: metered scalar protocol vs the
     full-vector formula, per client. dim=None omits the full-vector rows."""
     for name, value in (("rounds", rounds), ("m", m), ("tau", tau), ("P", perturbations)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}", field=name)
-    if dim is not None and dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}", field="dim")
+        check_range(name, value, value >= 1, ">= 1")
+    if dim is not None:
+        check_range("dim", dim, dim >= 1, ">= 1")
     meter = CommMeter(cost=cost)
     for r in range(rounds):
         # Always-sampled steady state: each client replays exactly one round,
@@ -383,10 +382,8 @@ def sweep(spec: dict, nu_list=None, tau_list=None, p_list=None, eta_list=None,
     eta_list = [base.eta] if eta_list is None else list(eta_list)
     combos = [(nu, tau, P, eta) for nu in nu_list for tau in tau_list
               for P in p_list for eta in eta_list]
-    if len(combos) > max_runs:
-        raise ConfigError(
-            f"sweep grid of {len(combos)} runs exceeds budget {max_runs}", field="grid"
-        )
+    check_range("sweep grid", len(combos), len(combos) <= max_runs,
+                f"at most the budget of {max_runs} runs", "grid")
     initial = task.global_loss(np.asarray(task.x0, dtype=np.float64))
     rows = []
     for nu, tau, P, eta in combos:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, LedgerFormatError, LedgerRangeError, ProtocolOrderError
+from .errors import (LedgerFormatError, LedgerRangeError, ProtocolOrderError, check_range,
+                     check_type)
 
 _MAGIC = b"SFLG"
 _VERSION = 1
@@ -182,10 +183,10 @@ class WireCostModel:
     bytes_per_seed: int = 0
 
     def __post_init__(self):
+        for name, annotation in WireCostModel.__annotations__.items():
+            check_type(name, getattr(self, name), annotation)
         for name, least in (("bytes_per_scalar", 1), ("bytes_per_seed", 0)):
-            if not getattr(self, name) >= least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}",
-                                  field=name)
+            check_range(name, getattr(self, name), getattr(self, name) >= least, f">= {least}")
 
 
 @dataclass(frozen=True)

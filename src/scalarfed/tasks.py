@@ -16,7 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, InvalidDimensionError
+from .errors import ConfigError, InvalidDimensionError, check_range
+
+
+# Dirichlet draws per partition before giving up on one with no empty client
+_PARTITION_TRIES = 100
 
 
 def make_lognormal_spectrum(dim: int, variance: float, seed: int) -> np.ndarray:
@@ -27,8 +31,7 @@ def make_lognormal_spectrum(dim: int, variance: float, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    if not variance > 0:
-        raise ConfigError(f"variance must be positive, got {variance}", field="variance")
+    check_range("variance", variance, variance > 0, "positive")
     g = rng.gaussian_vector(rng.mix(seed, rng.DOMAIN_TASK, 0), dim)
     return np.exp(g * np.sqrt(variance))
 
@@ -51,11 +54,13 @@ class QuadraticTask:
     rotation: np.ndarray = None  # optional orthogonal map (d, d)
 
     @classmethod
-    def build(cls, dim, num_clients, seed, spectrum_variance=3.0,
-              offset_scale=0.0, shift=0.0, x0_scale=1.0, x0_mode="uniform",
-              rotate=False):
-        if num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {num_clients}", field="num_clients")
+    def build(cls, *, dim: int, num_clients: int, seed: int, spectrum_variance: float = 3.0,
+              offset_scale: float = 0.0, shift: float = 0.0, x0_scale: float = 1.0,
+              rotate: bool = False):
+        check_range("dim", dim, dim >= 1, ">= 1")
+        check_range("num_clients", num_clients, num_clients >= 1, ">= 1")
+        check_range("seed", seed, 0 <= seed < 2**64, "in [0, 2**64)")
+        check_range("spectrum_variance", spectrum_variance, spectrum_variance > 0, "positive")
         spectrum = make_lognormal_spectrum(dim, spectrum_variance, seed)
         # built in place, one (M, d) buffer: the same operations in the same
         # order as shift + offset_scale * (offsets - mean), bit for bit
@@ -73,19 +78,10 @@ class QuadraticTask:
         if rotate:
             raw = rng.gaussian_vector(rng.mix(seed, rng.DOMAIN_TASK, 2), dim * dim)
             rotation, _ = np.linalg.qr(raw.reshape(dim, dim))
-        if x0_mode == "uniform":
-            x0 = x0_scale * np.ones(dim)
-        elif x0_mode == "mode_energy":
-            # equal loss contribution per eigenmode: x0_i = s / sqrt(sigma_i),
-            # the spread-out displacement a fine-tuning start resembles
-            # (otherwise the few largest eigenvalues own the entire objective)
-            x0 = x0_scale / np.sqrt(spectrum)
-        else:
-            raise ConfigError(f"unknown x0_mode {x0_mode!r}", field="x0_mode")
         return cls(
             spectrum=spectrum,
             centers=centers,
-            x0=x0,
+            x0=x0_scale * np.ones(dim),
             rotation=rotation,
         )
 
@@ -141,21 +137,16 @@ class DirichletPartition:
         return np.flatnonzero(self.assignment == client)
 
 
-def partition_dirichlet(labels, num_clients: int, alpha: float, seed: int,
-                        max_tries: int = 100) -> DirichletPartition:
+def partition_dirichlet(labels, num_clients: int, alpha: float, seed: int) -> DirichletPartition:
     """Non-IID shard assignment: per-class proportions drawn from
     Dirichlet(alpha * 1_M), resampled until no client is empty."""
     labels = np.asarray(labels)
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}", field="M")
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}", field="alpha")
-    if labels.shape[0] < num_clients:
-        raise ConfigError(
-            f"{labels.shape[0]} samples cannot cover {num_clients} clients", field="M"
-        )
+    check_range("num_clients", num_clients, num_clients >= 1, ">= 1")
+    check_range("alpha", alpha, alpha > 0, "positive")
+    check_range("n_samples", labels.shape[0], labels.shape[0] >= num_clients,
+                f">= num_clients = {num_clients}")
     classes = np.unique(labels)
-    for attempt in range(max_tries):
+    for attempt in range(_PARTITION_TRIES):
         gen = np.random.Generator(
             np.random.Philox(key=rng.mix(seed, rng.DOMAIN_TASK, 3, attempt))
         )
@@ -171,7 +162,7 @@ def partition_dirichlet(labels, num_clients: int, alpha: float, seed: int,
             return DirichletPartition(alpha=alpha, num_clients=num_clients,
                                       assignment=assignment)
     raise ConfigError(
-        f"could not produce a partition with no empty client in {max_tries} tries",
+        f"could not produce a partition with no empty client in {_PARTITION_TRIES} tries",
         field="alpha",
     )
 
@@ -192,10 +183,16 @@ class LogisticTask:
         return tuple(self.partition.shard(i) for i in range(self.num_clients))
 
     @classmethod
-    def build(cls, dim, num_clients, seed, n_samples=2000, alpha=1.0,
-              separation=2.0, l2=1e-3, batch_size=32):
-        if n_samples > 10_000 or dim > 512:
-            raise ConfigError("synthetic logistic tasks are desk-scale: n <= 10000, d <= 512")
+    def build(cls, *, dim: int, num_clients: int, seed: int, n_samples: int = 2000,
+              alpha: float = 1.0, separation: float = 2.0, l2: float = 1e-3,
+              batch_size: int = 32):
+        # synthetic logistic tasks are desk-scale: d <= 512, n <= 10000
+        check_range("dim", dim, 1 <= dim <= 512, "in [1, 512]")
+        check_range("num_clients", num_clients, num_clients >= 1, ">= 1")
+        check_range("seed", seed, 0 <= seed < 2**64, "in [0, 2**64)")
+        check_range("n_samples", n_samples, num_clients <= n_samples <= 10_000,
+                    f"in [num_clients, 10000] = [{num_clients}, 10000]")
+        check_range("batch_size", batch_size, batch_size >= 1, ">= 1")
         gen = np.random.Generator(np.random.Philox(key=rng.mix(seed, rng.DOMAIN_TASK, 4)))
         labels = (np.arange(n_samples) % 2).astype(np.int64)
         direction = gen.normal(size=dim)

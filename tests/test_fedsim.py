@@ -29,10 +29,17 @@ def small_task(M=5, dim=10, seed=31):
 
 def test_config_validation_names_fields():
     with pytest.raises(ConfigError) as err:
-        small_config(sampled_per_round=9).validate()
+        small_config(sampled_per_round=9)
     assert err.value.field == "m"
     with pytest.raises(ConfigError) as err:
-        small_config(eta=0.0).validate()
+        small_config(eta=0.0)
+    assert err.value.field == "eta"
+
+
+def test_replace_revalidates():
+    # a config that exists is valid: replace runs the same checks as construction
+    with pytest.raises(ConfigError) as err:
+        replace(small_config(), eta=0.0)
     assert err.value.field == "eta"
 
 
@@ -64,7 +71,7 @@ def test_sampling_independent_of_direction_grid():
 
 
 def test_local_update_reset_contract():
-    cfg = small_config().validate()
+    cfg = small_config()
     task = small_task()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     client = ClientState(id=0, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
@@ -75,7 +82,7 @@ def test_local_update_reset_contract():
 
 
 def test_identical_clients_produce_identical_scalars():
-    cfg = small_config().validate()
+    cfg = small_config()
     task = small_task()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     H = cfg.initial_hessian(task.dim)
@@ -106,7 +113,7 @@ def test_aggregate_means_and_m1_identity():
 
 
 def test_rebuild_empty_feed_is_identity():
-    cfg = small_config().validate()
+    cfg = small_config()
     task = small_task()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     client = ClientState(id=0, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
@@ -116,7 +123,7 @@ def test_rebuild_empty_feed_is_identity():
 
 
 def test_rebuild_gap_rejected():
-    cfg = small_config().validate()
+    cfg = small_config()
     task = small_task()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     client = ClientState(id=0, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
@@ -126,7 +133,7 @@ def test_rebuild_gap_rejected():
 
 
 def test_rebuild_zero_scalars_leave_model_contract_hessian():
-    cfg = small_config(nu=0.25).validate()
+    cfg = small_config(nu=0.25)
     task = small_task()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     client = ClientState(id=0, model=task.x0.copy(),
@@ -144,7 +151,7 @@ def test_rebuild_closure_matches_shadow_client():
     # a client absent for 5 rounds lands bitwise on the server state;
     # the shadow here is the maintained server model itself plus a
     # never-absent client that rebuilds every round
-    cfg = small_config(rounds=12, num_clients=4, sampled_per_round=2).validate()
+    cfg = small_config(rounds=12, num_clients=4, sampled_per_round=2)
     task = small_task(M=4)
     provider = DirectionProvider(cfg.schedule(), task.dim)
     result = run_training(cfg, task, keep_models=True)
@@ -163,7 +170,7 @@ def test_rebuild_closure_matches_shadow_client():
 
 
 def test_participants_resync_bitwise_each_round():
-    cfg = small_config(rounds=10).validate()
+    cfg = small_config(rounds=10)
     task = small_task()
     result = run_training(cfg, task, keep_models=True)
     # every client that participated in round r holds the round-r model
@@ -179,7 +186,7 @@ def test_one_round_recursion_oracle_tau1():
     # independent implementation of the one-round recursion (tau = 1, P = 1):
     # rebuild block, local update block, aggregation block
     cfg = small_config(tau=1, perturbations=1, rounds=6, num_clients=3,
-                      sampled_per_round=2, nu=0.2).validate()
+                      sampled_per_round=2, nu=0.2)
     task = small_task(M=3)
     provider = DirectionProvider(cfg.schedule(), task.dim)
 
@@ -223,7 +230,7 @@ def test_run_training_eta_zero_equivalent_flat_loss():
         def global_loss(self, x):
             return 4.2
 
-    cfg = small_config(rounds=5).validate()
+    cfg = small_config(rounds=5)
     result = run_training(cfg, Constant())
     losses = result.losses()
     assert np.all(losses == losses[0])
@@ -246,7 +253,7 @@ def test_shared_direction_property():
     # all sampled clients in a round consume identical direction vectors:
     # with equal shards and equal round state their scalar matrices coincide,
     # and the direction grid is a pure function of (root, r, k, p)
-    cfg = small_config().validate()
+    cfg = small_config()
     provider = DirectionProvider(cfg.schedule(), 10)
     other = DirectionProvider(cfg.schedule(), 10)
     for k in range(cfg.tau):
@@ -255,7 +262,7 @@ def test_shared_direction_property():
 
 
 def test_trace_record_contents_and_meter_columns():
-    cfg = small_config(rounds=4).validate()
+    cfg = small_config(rounds=4)
     task = small_task()
     result = run_training(cfg, task)
     rec = result.trace[-1]
@@ -279,7 +286,7 @@ def test_trace_record_contents_and_meter_columns():
 
 
 def test_vector_oracle_bitwise_and_natural_modes():
-    cfg = small_config(rounds=10).validate()
+    cfg = small_config(rounds=10)
     task = small_task()
     scalar = run_training(cfg, task, keep_models=True)
     fixed = run_training(cfg, task, keep_models=True, transport="direct")
@@ -295,7 +302,7 @@ def test_vector_oracle_bitwise_and_natural_modes():
 def test_direct_transport_matches_replay_bitwise(quantize):
     # handing state by value must change nothing but the wall time, also when
     # the 32-bit wire rounds the scalars
-    cfg = small_config(rounds=10, quantize_wire=quantize).validate()
+    cfg = small_config(rounds=10, quantize_wire=quantize)
     task = small_task()
     replay = run_training(cfg, task, keep_models=True)
     direct = run_training(cfg, task, keep_models=True, transport="direct")
@@ -323,7 +330,7 @@ def test_unknown_transport_rejected():
 def test_wire_quantization_divergence_bounded_not_asserted():
     # with 32-bit wire rounding the scalar path departs from the float64
     # oracle; the gap is measured and must stay small, not zero
-    cfg = small_config(rounds=10, quantize_wire=True).validate()
+    cfg = small_config(rounds=10, quantize_wire=True)
     task = small_task()
     scalar = run_training(cfg, task, keep_models=True)
     oracle = run_training(replace(cfg, quantize_wire=False), task, keep_models=True,
@@ -350,7 +357,7 @@ def test_estimator_failure_carries_coordinates():
         def global_loss(self, x):
             return 1.0
 
-    cfg = small_config(rounds=2).validate()
+    cfg = small_config(rounds=2)
     with pytest.raises(EstimatorFailureError) as err:
         run_training(cfg, Exploding())
     assert err.value.coords == (0, 0, 0)
@@ -363,7 +370,7 @@ def test_estimator_failure_carries_coordinates():
 ])
 def test_config_rejects_curvature_step_and_seed_fields(field, value):
     with pytest.raises(ConfigError) as err:
-        small_config(**{field: value}).validate()
+        small_config(**{field: value})
     assert err.value.field == field
 
 
@@ -381,7 +388,7 @@ def test_estimator_failure_carries_client_id():
         def client_loss(self, client, x, batch=None):
             return np.nan if client == 3 else 1.0
 
-    cfg = small_config().validate()
+    cfg = small_config()
     provider = DirectionProvider(cfg.schedule(), task.dim)
     client = ClientState(id=3, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
     with pytest.raises(EstimatorFailureError) as err:
@@ -415,7 +422,7 @@ def kernel_setup(tau, P, nu, quantize=True):
     # bounds close to 1, so that the EMA clips some coordinates at each bound
     dim = 256
     cfg = small_config(tau=tau, perturbations=P, nu=nu, beta_lower=0.97, beta_upper=1.5,
-                       eta=0.1, quantize_wire=quantize).validate()
+                       eta=0.1, quantize_wire=quantize)
     provider = DirectionProvider(cfg.schedule(), dim)
     hessian = replace(cfg.initial_hessian(dim),
                       diag=np.clip(1.0 + 0.1 * gaussian_vector(mix(7, 0), dim), 0.97, 1.5))
@@ -459,7 +466,7 @@ def test_replay_kernel_multi_round_equals_round_by_round(tau, P, nu):
 
 
 def test_replay_leaves_caller_arrays_untouched():
-    cfg = small_config(rounds=6).validate()
+    cfg = small_config(rounds=6)
     task = small_task()
     result = run_training(cfg, task, keep_models=True)
     server, provider = result.server, DirectionProvider(cfg.schedule(), task.dim)
@@ -491,7 +498,7 @@ def test_local_update_mean_step_is_preconditioned_gradient():
     task = QuadraticTask.build(dim=8, num_clients=3, seed=61, spectrum_variance=1.0,
                                offset_scale=0.5, x0_scale=1.0)
     cfg = RoundConfig(num_clients=3, sampled_per_round=1, rounds=1, eta=0.01, tau=1,
-                      perturbations=4096, mu=1e-6, root_seed=62).validate()
+                      perturbations=4096, mu=1e-6, root_seed=62)
     H = DiagHessian(diag=np.geomspace(0.25, 4.0, 8)[[3, 7, 0, 5, 1, 6, 2, 4]])
     client = ClientState(id=1, model=task.x0.copy(), hessian=H)
     provider = DirectionProvider(cfg.schedule(), task.dim)
@@ -581,7 +588,7 @@ def test_provider_without_plan_caches_nothing(monkeypatch):
 
 
 def test_never_sampled_clients_share_one_read_only_start():
-    cfg = small_config(num_clients=64, sampled_per_round=2, rounds=10).validate()
+    cfg = small_config(num_clients=64, sampled_per_round=2, rounds=10)
     task = small_task(M=64)
     result = run_training(cfg, task)
     sampled = {int(c) for r in range(cfg.rounds)

@@ -7,6 +7,7 @@ import pytest
 from scalarfed import harness
 from scalarfed.cli import main
 from scalarfed.errors import ConfigError
+from scalarfed.rng import SeedSchedule
 
 
 def quad_spec(**round_over):
@@ -18,6 +19,19 @@ def quad_spec(**round_over):
                  "spectrum_variance": 1.0, "offset_scale": 0.1, "x0_scale": 0.5},
         "round": rnd,
     }
+
+
+def logistic_spec(**task_over):
+    spec = quad_spec()
+    spec["task"] = {"kind": "logistic", "dim": 8, "num_clients": 4, "seed": 9,
+                    "n_samples": 200, "batch_size": 16, **task_over}
+    return spec
+
+
+def with_task(**task_over):
+    spec = quad_spec()
+    spec["task"].update(task_over)
+    return spec
 
 
 def test_run_spec_writes_trace_files(tmp_path):
@@ -154,14 +168,28 @@ def test_cli_rejects_bad_curvature_fields_with_exit_code_2(tmp_path, capsys, fie
 
 @pytest.mark.parametrize("field, value", [
     ("tau", "2"), ("R", 3.5), ("eta", "0.001"), ("nu", None), ("quantize_wire", "no"),
-    ("R", True),
-], ids=["tau-string", "R-float", "eta-string", "nu-null", "quantize-string", "R-bool"])
+    ("R", True), ("bytes_per_scalar", "4"),
+], ids=["tau-string", "R-float", "eta-string", "nu-null", "quantize-string", "R-bool",
+        "bytes-string"])
 def test_cli_rejects_mistyped_round_fields_with_exit_code_2(tmp_path, capsys, field, value):
     # a wrong type must neither crash nor run with another meaning
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(quad_spec(**{field: value})))
     assert main(["run", str(spec_path)]) == 2
     assert f"(field: {field})" in capsys.readouterr().err
+
+
+def test_run_spec_builds_the_seed_grid_once(monkeypatch):
+    shapes = []
+    validate_grid = SeedSchedule.validate_grid
+
+    def counted(self, *shape):
+        shapes.append(shape)
+        return validate_grid(self, *shape)
+
+    monkeypatch.setattr(SeedSchedule, "validate_grid", counted)
+    harness.run_spec(quad_spec())
+    assert shapes == [(5, 1, 2)]
 
 
 def test_round_config_accepts_numpy_numbers():
@@ -212,10 +240,8 @@ def test_cli_sweep(tmp_path):
 
 
 def test_cli_sweep_logistic_spec(tmp_path):
-    spec = {"task": {"kind": "logistic", "dim": 8, "num_clients": 4, "seed": 9,
-                     "n_samples": 200, "batch_size": 16},
-            "round": {"M": 4, "m": 2, "R": 3, "eta": 0.05, "tau": 1, "P": 2, "mu": 1e-4,
-                      "root_seed": 3, "sampling_seed": 4}}
+    spec = logistic_spec()
+    spec["round"].update(R=3, eta=0.05)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "sweep.csv"
@@ -268,17 +294,41 @@ def test_account_rejects_zero_dim():
     (["sweep", "{missing}"], "spec"),
     (["sweep", "{malformed}"], "spec"),
     (["sweep", "{spec}", "--nu", "0.1,abc"], "nu"),
+    (["run", "{dim_string}"], "dim"),
+    (["run", "{clients_float}"], "num_clients"),
+    (["run", "{unknown_task_key}"], "bogus"),
+    (["run", "{no_seed}"], "seed"),
+    (["run", "{x0_mode}"], "x0_mode"),
+    (["run", "{kind_list}"], "task.kind"),
+    (["run", "{zero_batch}"], "batch_size"),
+    (["run", "{zero_dim}"], "dim"),
+    (["run", "{zero_variance}"], "spectrum_variance"),
+    (["run", "{negative_samples}"], "n_samples"),
+    (["run", "{keep_models}"], "keep_models"),
+    (["run", "{dump_string}"], "dump_hessian"),
 ], ids=["account-m-0", "account-tau-0", "account-P-negative", "account-bytes-negative",
         "run-bytes-negative", "lemmas-samples-0", "lemmas-dim-0", "run-missing-spec",
         "run-malformed-spec", "sweep-missing-spec", "sweep-malformed-spec",
-        "sweep-bad-list"])
+        "sweep-bad-list", "task-dim-string", "task-clients-float", "task-unknown-key",
+        "task-missing-seed", "task-x0-mode", "task-kind-list", "logistic-batch-0",
+        "task-dim-0", "task-variance-0", "logistic-samples-negative",
+        "spec-keep-models", "spec-dump-string"])
 def test_cli_bad_input_exits_2_naming_field(tmp_path, capsys, argv, field):
-    negative_bytes = quad_spec()
-    negative_bytes["round"]["bytes_per_scalar"] = -4
-    paths = {"spec": tmp_path / "spec.json", "negative_bytes": tmp_path / "bytes.json",
-             "missing": tmp_path / "missing.json", "malformed": tmp_path / "bad.json"}
-    paths["spec"].write_text(json.dumps(quad_spec(R=2)))
-    paths["negative_bytes"].write_text(json.dumps(negative_bytes))
+    no_seed = quad_spec()
+    del no_seed["task"]["seed"]
+    specs = {"spec": quad_spec(R=2), "negative_bytes": quad_spec(bytes_per_scalar=-4),
+             "dim_string": with_task(dim="5"), "clients_float": with_task(num_clients=2.5),
+             "unknown_task_key": with_task(bogus=1), "no_seed": no_seed,
+             "x0_mode": with_task(x0_mode="uniform"), "kind_list": with_task(kind=[1]),
+             "zero_batch": logistic_spec(batch_size=0), "zero_dim": with_task(dim=0),
+             "zero_variance": with_task(spectrum_variance=0.0),
+             "negative_samples": logistic_spec(n_samples=-1),
+             "keep_models": dict(quad_spec(), keep_models=False),
+             "dump_string": dict(quad_spec(), dump_hessian="yes")}
+    paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "bad.json"}
+    for name, spec in specs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
     paths["malformed"].write_text('{"task": ')
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2

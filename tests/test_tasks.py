@@ -112,8 +112,9 @@ def test_dirichlet_concentration_limit():
 
 
 def test_dirichlet_rejects_too_few_samples():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         partition_dirichlet(np.zeros(3), 10, 1.0, seed=1)
+    assert err.value.field == "n_samples"
 
 
 def test_logistic_loss_grad_consistency():
@@ -158,5 +159,6 @@ def test_logistic_batches_keyed_and_in_shard():
 
 
 def test_desk_scale_guard():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         LogisticTask.build(dim=1024, num_clients=2, seed=1)
+    assert err.value.field == "dim"
