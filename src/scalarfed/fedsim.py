@@ -167,16 +167,21 @@ def sample_clients(num_clients: int, m: int, r: int, sampling_seed: int) -> np.n
 def _last_use(plan, transport: str) -> list:
     """Per round j, the last round whose work reads round j's directions.
 
-    Every round reads its own. Under "replay" a client whose last round is
-    <= j also replays round j when it is next sampled, so round j is read
-    until the latest first return after j of any client.
+    Every round reads its own. Under "replay" a returning client replays
+    every round from its last appearance to its next one, and one shared
+    replica stands for every client not yet sampled: at each first
+    appearance it replays the rounds since the previous first appearance.
+    The rounds only advance, so the last write for j is its latest reader.
     """
     last_use = list(range(len(plan)))
     if transport == "replay":
-        next_return = {}  # client -> its first sampled round after j
-        for j in reversed(range(len(plan))):
-            last_use[j] = max(next_return.values(), default=j)
-            next_return.update((int(cid), j) for cid in plan[j])
+        at = {}  # client -> the round its replica stands at; None: the shared one
+        for r, sampled in enumerate(plan):
+            for cid in map(int, sampled):
+                reader = cid if cid in at else None
+                for j in range(at.get(reader, 0), r):
+                    last_use[j] = r
+                at[reader] = at[cid] = r
     return last_use
 
 
@@ -254,7 +259,8 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                     which="perturbed", coords=(r, k, p), client=client.id,
                 )
             scalars[k, p] = (perturbed - base) / mu
-        x = x - config.eta * multi_perturbation_delta(scalars[k], zs)
+        if k + 1 < config.tau:  # the reset discards the model after the last step
+            x = x - config.eta * multi_perturbation_delta(scalars[k], zs)
     return scalars
 
 
@@ -357,11 +363,17 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
 
     The sampling plan is drawn up front; from it the direction cache knows
     each round's last reader and drops the round right after it, so no
-    direction is generated twice and, unless some client stays away for most
-    of the run, the cache does not grow with R. Client replicas are lazy: every
-    client not yet sampled shares one read-only (x0, identity) pair, which
-    rebuild copies before it advances. Where the task's optional
-    `curvature_truth()` returns (Sigma, L), each record carries the diagnostics.
+    direction is generated twice and, unless some returning client stays away
+    for most of the run, the cache does not grow with R. Client replicas are
+    lazy: one shared replica stands for every client not yet sampled. It
+    starts as the read-only (x0, identity) pair and, at each first draw,
+    catches up only on the rounds since its last advance, once for all those
+    clients; the drawn client takes its state, read-only and uncopied, since
+    rebuild copies before it advances. It is dropped after the plan's last
+    first draw. A returning client rebuilds from its own feed. Missed rounds,
+    and so the meter and staleness, still count from the ledger's last
+    participation. Where the task's optional `curvature_truth()` returns
+    (Sigma, L), each record carries the diagnostics.
     """
     check_range("transport", transport, transport in ("replay", "direct", "natural"),
                 "replay, direct or natural")
@@ -382,7 +394,9 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         ledger=Ledger(num_clients=config.num_clients),
         meter=CommMeter(cost=config.cost_model),
     )
-    clients = [ClientState(id=i, model=x0, hessian=identity)
+    shared = ClientState(id=-1, model=x0, hessian=identity)
+    unseen = len({int(cid) for sampled in plan for cid in sampled})
+    clients = [replace(shared, id=i)
                for i in range(config.num_clients)] if transport == "replay" else []
     trace = []
     models = [] if keep_models else None
@@ -391,15 +405,23 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     for r, sampled in enumerate(plan):
         missed_counts = []
         matrices = []
-        for cid in sampled:
-            cid = int(cid)
-            missed = fetch_since(server.ledger, server.ledger.last_participation[cid])
-            missed_counts.append(len(missed))
-            if transport == "replay":
-                client = clients[cid] = client_rebuild(clients[cid], missed, config.eta,
-                                                       provider)
-            else:
+        for cid in map(int, sampled):
+            since = server.ledger.last_participation[cid]
+            missed_counts.append(r - since)
+            if transport != "replay":
                 client = ClientState(id=cid, model=server.model, hessian=server.hessian)
+            elif clients[cid].model is x0:  # first draw: catch the shared replica up
+                shared = client_rebuild(shared, fetch_since(server.ledger, shared.last_round),
+                                        config.eta, provider)
+                for array in (shared.model, shared.hessian.diag):
+                    array.setflags(write=False)
+                client = clients[cid] = replace(shared, id=cid)
+                unseen -= 1
+                if not unseen:  # no first draw is left to read it
+                    shared = None
+            else:
+                client = clients[cid] = client_rebuild(
+                    clients[cid], fetch_since(server.ledger, since), config.eta, provider)
             matrices.append(client_local_update(client, r, config, task, provider))
             evals += config.tau * (config.perturbations + 1)
         if transport == "natural":

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -540,8 +541,11 @@ def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
     monkeypatch.setattr(DirectionProvider, "u", recorded_u)
     monkeypatch.setattr(DirectionProvider, "release", recorded_release)
     monkeypatch.setattr(fedsim, "gaussian_vector", counted)
-    for index in range(6):
-        config, task = fuzz_config(3, index)
+    inputs = [fuzz_config(3, index) for index in range(6)]
+    # M >> m: most rounds are read by the shared catch-up of first-time clients
+    inputs.append((small_config(num_clients=64, sampled_per_round=2, rounds=30),
+                   small_task(M=64)))
+    for config, task in inputs:
         reads.clear()
         seeds.clear()
         providers.clear()
@@ -591,16 +595,20 @@ def test_never_sampled_clients_share_one_read_only_start():
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=10)
     task = small_task(M=64)
     result = run_training(cfg, task)
-    sampled = {int(c) for r in range(cfg.rounds)
-               for c in sample_clients(64, 2, r, cfg.sampling_seed)}
-    idle = [c for c in result.clients if c.id not in sampled]
+    draws = Counter(int(c) for r in range(cfg.rounds)
+                    for c in sample_clients(64, 2, r, cfg.sampling_seed))
+    idle = [c for c in result.clients if c.id not in draws]
     assert len(result.clients) == 64 and idle
-    assert len({id(c.model) for c in result.clients}) == len(sampled) + 1
+    assert len({id(c.model) for c in result.clients}) == len(draws) + 1
     assert task.x0.flags.writeable  # the task's own start is not frozen
     for client in idle:
         assert client.last_round == 0
         assert client.model.tobytes() == task.x0.tobytes()
         assert client.hessian.diag.tobytes() == np.ones(task.dim).tobytes()
+    # a client drawn once still holds the replica it took from the shared one
+    once = [c for c in result.clients if draws[c.id] == 1]
+    assert once
+    for client in idle + once:
         with pytest.raises(ValueError):
             client.model[0] = 1.0
         with pytest.raises(ValueError):
@@ -609,3 +617,42 @@ def test_never_sampled_clients_share_one_read_only_start():
     rebuilt = client_rebuild(idle[0], fetch_since(result.server.ledger, 0), cfg.eta, provider)
     assert rebuilt.model.tobytes() == result.server.model.tobytes()
     assert rebuilt.hessian.diag.tobytes() == result.server.hessian.diag.tobytes()
+
+
+def test_shared_replica_matches_independent_rebuilds(monkeypatch):
+    # Each client's replica at its first appearance f equals a fresh start
+    # rebuilt on its own over rounds [0, f), and the shared catch-up replays
+    # each round at most once, however many clients it serves.
+    cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
+    task = small_task(M=64)
+    taken, replayed = {}, []
+    update, rebuild = fedsim.client_local_update, fedsim.client_rebuild
+
+    def recorded_update(client, r, config, task, provider):
+        taken.setdefault(client.id, (r, client))
+        return update(client, r, config, task, provider)
+
+    def counted_rebuild(client, missed, eta, provider):
+        replayed.append(len(missed))
+        return rebuild(client, missed, eta, provider)
+
+    monkeypatch.setattr(fedsim, "client_local_update", recorded_update)
+    monkeypatch.setattr(fedsim, "client_rebuild", counted_rebuild)
+    result = run_training(cfg, task)
+    feed = fetch_since(result.server.ledger, 0)
+    provider = DirectionProvider(cfg.schedule(), task.dim)
+    for cid, (first, client) in taken.items():
+        fresh = ClientState(id=cid, model=task.x0.copy(), hessian=cfg.initial_hessian(task.dim))
+        alone = rebuild(fresh, feed[:first], cfg.eta, provider)
+        assert client.last_round == alone.last_round == first
+        assert client.model.tobytes() == alone.model.tobytes()
+        assert client.hessian.diag.tobytes() == alone.hessian.diag.tobytes()
+    # returning clients replay from their previous appearance; the rest is
+    # the shared catch-up, where separate replays would total sum(first)
+    last, returning = {}, 0
+    for r in range(cfg.rounds):
+        for cid in map(int, sample_clients(64, 2, r, cfg.sampling_seed)):
+            returning += r - last.get(cid, r)
+            last[cid] = r
+    assert sum(first for first, _ in taken.values()) > cfg.rounds
+    assert sum(replayed) - returning <= cfg.rounds
