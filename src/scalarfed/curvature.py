@@ -50,10 +50,6 @@ class DiagHessian:
         if not np.all((diag >= self.beta_lower) & (diag <= self.beta_upper)):
             raise CurvatureError("diagonal violates its clipping bounds")
 
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
     @classmethod
     def identity(cls, dim: int, **kwargs) -> "DiagHessian":
         """All-ones start: the first round is exactly the unpreconditioned

@@ -164,25 +164,28 @@ def sample_clients(num_clients: int, m: int, r: int, sampling_seed: int) -> np.n
     return sample_without_replacement(seed, num_clients, m)
 
 
-def _last_use(plan, transport: str) -> list:
-    """Per round j, the last round whose work reads round j's directions.
+def _last_use(plan, transport: str):
+    """Walk the plan once; return (last_use, last_read).
 
-    Every round reads its own. Under "replay" a returning client replays
-    every round from its last appearance to its next one, and one shared
-    replica stands for every client not yet sampled: at each first
-    appearance it replays the rounds since the previous first appearance.
-    The rounds only advance, so the last write for j is its latest reader.
+    last_use[j] is the last round whose work reads round j's directions:
+    every round reads its own. Under "replay" each draw reads one replica,
+    keyed by reader: the client's own once it has been sampled, otherwise
+    None, the shared replica of every client not yet sampled. The draw
+    replays every round since that replica last advanced and stores the
+    result under both the reader and the client. last_read maps each key to
+    the last round that reads or stores it, after which nothing reads it
+    again. The rounds only advance, so the last write is the latest.
     """
     last_use = list(range(len(plan)))
+    at = {None: 0}  # key -> the round its replica stands at
     if transport == "replay":
-        at = {}  # client -> the round its replica stands at; None: the shared one
         for r, sampled in enumerate(plan):
             for cid in map(int, sampled):
                 reader = cid if cid in at else None
-                for j in range(at.get(reader, 0), r):
+                for j in range(at[reader], r):
                     last_use[j] = r
                 at[reader] = at[cid] = r
-    return last_use
+    return last_use, at
 
 
 def _quantize(a: np.ndarray) -> np.ndarray:
@@ -316,8 +319,6 @@ def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
 class RunResult:
     trace: list
     server: ServerState
-    clients: list
-    config: RoundConfig
     models: list = None  # per-round post-update server models, if requested
 
     def losses(self) -> np.ndarray:
@@ -364,16 +365,18 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     The sampling plan is drawn up front; from it the direction cache knows
     each round's last reader and drops the round right after it, so no
     direction is generated twice and, unless some returning client stays away
-    for most of the run, the cache does not grow with R. Client replicas are
-    lazy: one shared replica stands for every client not yet sampled. It
-    starts as the read-only (x0, identity) pair and, at each first draw,
-    catches up only on the rounds since its last advance, once for all those
-    clients; the drawn client takes its state, read-only and uncopied, since
-    rebuild copies before it advances. It is dropped after the plan's last
-    first draw. A returning client rebuilds from its own feed. Missed rounds,
-    and so the meter and staleness, still count from the ledger's last
-    participation. Where the task's optional `curvature_truth()` returns
-    (Sigma, L), each record carries the diagnostics.
+    for most of the run, the cache does not grow with R. Replicas live in one
+    table keyed by reader (see `_last_use`): None holds the shared replica of
+    every client not yet sampled, which starts as the read-only (x0,
+    identity) pair. Every draw rebuilds the reader's replica over the rounds
+    it missed, freezes the result and stores it under the reader and the
+    client; rebuild copies before it advances, so the frozen arrays are
+    never written. A key is dropped after the last round that reads it, not
+    during it, since two first draws in one round both read the shared
+    replica. Missed rounds, and so the meter and staleness, count from the
+    ledger's last participation. Where the task's optional
+    `curvature_truth()` returns (Sigma, L), each record carries the
+    diagnostics.
     """
     check_range("transport", transport, transport in ("replay", "direct", "natural"),
                 "replay, direct or natural")
@@ -383,7 +386,8 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
     plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
                            config.sampling_seed) for r in range(config.rounds)]
-    provider = DirectionProvider(config.schedule(), dim, _last_use(plan, transport))
+    last_use, last_read = _last_use(plan, transport)
+    provider = DirectionProvider(config.schedule(), dim, last_use)
     x0 = np.array(task.x0, dtype=np.float64)
     identity = config.initial_hessian(dim)
     for shared in (x0, identity.diag):
@@ -394,10 +398,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         ledger=Ledger(num_clients=config.num_clients),
         meter=CommMeter(cost=config.cost_model),
     )
-    shared = ClientState(id=-1, model=x0, hessian=identity)
-    unseen = len({int(cid) for sampled in plan for cid in sampled})
-    clients = [replace(shared, id=i)
-               for i in range(config.num_clients)] if transport == "replay" else []
+    replicas = {None: ClientState(id=-1, model=x0, hessian=identity)}
     trace = []
     models = [] if keep_models else None
     evals = 0
@@ -406,22 +407,16 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         missed_counts = []
         matrices = []
         for cid in map(int, sampled):
-            since = server.ledger.last_participation[cid]
-            missed_counts.append(r - since)
-            if transport != "replay":
-                client = ClientState(id=cid, model=server.model, hessian=server.hessian)
-            elif clients[cid].model is x0:  # first draw: catch the shared replica up
-                shared = client_rebuild(shared, fetch_since(server.ledger, shared.last_round),
-                                        config.eta, provider)
-                for array in (shared.model, shared.hessian.diag):
+            missed_counts.append(r - server.ledger.last_participation[cid])
+            if transport == "replay":
+                reader = cid if cid in replicas else None
+                missed = fetch_since(server.ledger, replicas[reader].last_round)
+                client = client_rebuild(replicas[reader], missed, config.eta, provider)
+                for array in (client.model, client.hessian.diag):
                     array.setflags(write=False)
-                client = clients[cid] = replace(shared, id=cid)
-                unseen -= 1
-                if not unseen:  # no first draw is left to read it
-                    shared = None
+                client = replicas[reader] = replicas[cid] = replace(client, id=cid)
             else:
-                client = clients[cid] = client_rebuild(
-                    clients[cid], fetch_since(server.ledger, since), config.eta, provider)
+                client = ClientState(id=cid, model=server.model, hessian=server.hessian)
             matrices.append(client_local_update(client, r, config, task, provider))
             evals += config.tau * (config.perturbations + 1)
         if transport == "natural":
@@ -430,6 +425,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         else:
             log, model, hessian = server_aggregate(server, matrices, r, config, provider)
         provider.release(r)
+        replicas = {key: held for key, held in replicas.items() if last_read[key] > r}
         prev_meter = server.meter
         server = ServerState(
             model=model,
@@ -446,5 +442,4 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             _trace_record(r, task.global_loss(model), server.meter, prev_meter,
                           hessian, evals, missed_counts, started, truth)
         )
-    return RunResult(trace=trace, server=server, clients=clients, config=config,
-                     models=models)
+    return RunResult(trace=trace, server=server, models=models)

@@ -138,18 +138,28 @@ def deserialize(data: bytes) -> Ledger:
         offset += n
         return chunk
 
-    magic, version, _pad, tau, P, _root, num_clients = _HEADER.unpack(
+    magic, version, pad, tau, P, _root, num_clients = _HEADER.unpack(
         take(_HEADER.size, "header")
     )
     if magic != _MAGIC:
         raise LedgerFormatError(f"bad magic {magic!r}", 0)
     if version != _VERSION:
         raise LedgerFormatError(f"unsupported version {version}", 4)
+    if pad != 0:
+        raise LedgerFormatError(f"non-zero pad {pad}", 6)
 
     last = {}
     for i in range(num_clients):
         (last[i],) = struct.unpack("<Q", take(8, f"participation[{i}]"))
     (n_rounds,) = struct.unpack("<Q", take(8, "round count"))
+    # serialize writes (0, 0) for an empty ledger and the logs' shape otherwise
+    if not (tau >= 1 and P >= 1 if n_rounds else tau == P == 0):
+        raise LedgerFormatError(f"scalar shape ({tau}, {P}) with {n_rounds} rounds", 8)
+    for i, t in last.items():
+        if t >= max(n_rounds, 1):
+            raise LedgerFormatError(
+                f"client {i} last participated in round {t} of {n_rounds}",
+                _HEADER.size + 8 * i)
     logs = []
     for r in range(n_rounds):
         (round_idx,) = struct.unpack("<Q", take(8, f"round {r} index"))

@@ -1,4 +1,5 @@
-from collections import Counter
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -170,14 +171,33 @@ def test_rebuild_closure_matches_shadow_client():
     assert np.array_equal(absent.hessian.diag, result.server.hessian.diag)
 
 
-def test_participants_resync_bitwise_each_round():
+def capture_updates(monkeypatch):
+    """Record (round, client) for every client_local_update the loop makes."""
+    taken = []
+    update = fedsim.client_local_update
+
+    def recorded(client, r, config, task, provider):
+        taken.append((r, client))
+        return update(client, r, config, task, provider)
+
+    monkeypatch.setattr(fedsim, "client_local_update", recorded)
+    return taken
+
+
+def test_participants_resync_bitwise_each_round(monkeypatch):
     cfg = small_config(rounds=10)
     task = small_task()
+    taken = capture_updates(monkeypatch)
     result = run_training(cfg, task, keep_models=True)
-    # every client that participated in round r holds the round-r model
+    # every client that participated in round r holds the round-r start model,
+    # and its last replica, rebuilt to the end, holds the final one
+    starts = [task.x0] + result.models[:-1]
+    for r, client in taken:
+        assert client.last_round == r
+        assert np.array_equal(client.model, starts[r])
     provider = DirectionProvider(cfg.schedule(), task.dim)
     ledger = result.server.ledger
-    for client in result.clients:
+    for client in {client.id: client for _, client in taken}.values():
         rebuilt = client_rebuild(client, fetch_since(ledger, client.last_round),
                                  cfg.eta, provider)
         assert np.array_equal(rebuilt.model, result.models[-1])
@@ -296,7 +316,6 @@ def test_vector_oracle_bitwise_and_natural_modes():
     natural = run_training(cfg, task, keep_models=True, transport="natural")
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(scalar.models, natural.models))
     assert worst <= 1e-9
-    assert fixed.clients == natural.clients == []
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -440,6 +459,18 @@ def uploads(cfg, r):
             for i in range(cfg.sampled_per_round)]
 
 
+@pytest.mark.parametrize("bad", [
+    lambda mats: mats[:-1],                        # one matrix short
+    lambda mats: mats + mats[:1],                  # one matrix extra
+    lambda mats: [mats[0], mats[1][:, :-1]],       # one perturbation short
+    lambda mats: [mats[0].T, mats[1]],             # (P, tau) instead of (tau, P)
+])
+def test_server_aggregate_rejects_wrong_count_or_shape(bad):
+    cfg, provider, server = kernel_setup(2, 3, 0.1)
+    with pytest.raises(ProtocolOrderError):
+        server_aggregate(server, bad(uploads(cfg, 0)), 0, cfg, provider)
+
+
 @pytest.mark.parametrize("tau, P, nu", KERNEL_GRID)
 def test_replay_kernel_matches_out_of_place_reference(tau, P, nu):
     cfg, provider, server = kernel_setup(tau, P, nu)
@@ -466,15 +497,17 @@ def test_replay_kernel_multi_round_equals_round_by_round(tau, P, nu):
     assert whole_hessian.diag.tobytes() == hessian.diag.tobytes()
 
 
-def test_replay_leaves_caller_arrays_untouched():
+def test_replay_leaves_caller_arrays_untouched(monkeypatch):
     cfg = small_config(rounds=6)
     task = small_task()
+    taken = capture_updates(monkeypatch)
     result = run_training(cfg, task, keep_models=True)
     server, provider = result.server, DirectionProvider(cfg.schedule(), task.dim)
+    clients = [client for _, client in taken]
     held = ([server.model, server.hessian.diag] + result.models
-            + [c.model for c in result.clients] + [c.hessian.diag for c in result.clients])
+            + [c.model for c in clients] + [c.hessian.diag for c in clients])
     before = [a.copy() for a in held]
-    for client in result.clients:
+    for client in clients:
         client_rebuild(client, fetch_since(server.ledger, client.last_round), cfg.eta, provider)
     matrices = [np.ones((cfg.tau, cfg.perturbations))] * cfg.sampled_per_round
     server_aggregate(server, matrices, cfg.rounds, cfg, provider)
@@ -553,7 +586,7 @@ def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
         run_training(config, task, transport=transport)
         plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
                                config.sampling_seed) for r in range(config.rounds)]
-        assert [reads[j] for j in range(config.rounds)] == _last_use(plan, transport)
+        assert [reads[j] for j in range(config.rounds)] == _last_use(plan, transport)[0]
         assert len(seeds) == len(set(seeds)) == config.rounds * config.tau * config.perturbations
         assert len(set(map(id, providers))) == 1 and providers[-1]._cache == {}
 
@@ -591,32 +624,54 @@ def test_provider_without_plan_caches_nothing(monkeypatch):
     assert len(calls) == 2 and provider._cache == {}
 
 
-def test_never_sampled_clients_share_one_read_only_start():
+def test_never_sampled_clients_share_one_read_only_start(monkeypatch):
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=10)
     task = small_task(M=64)
+    taken = capture_updates(monkeypatch)
     result = run_training(cfg, task)
-    draws = Counter(int(c) for r in range(cfg.rounds)
-                    for c in sample_clients(64, 2, r, cfg.sampling_seed))
-    idle = [c for c in result.clients if c.id not in draws]
-    assert len(result.clients) == 64 and idle
-    assert len({id(c.model) for c in result.clients}) == len(draws) + 1
     assert task.x0.flags.writeable  # the task's own start is not frozen
-    for client in idle:
-        assert client.last_round == 0
-        assert client.model.tobytes() == task.x0.tobytes()
-        assert client.hessian.diag.tobytes() == np.ones(task.dim).tobytes()
-    # a client drawn once still holds the replica it took from the shared one
-    once = [c for c in result.clients if draws[c.id] == 1]
-    assert once
-    for client in idle + once:
+    # every replica a client takes, first draws from the shared replica
+    # included, is read-only
+    for _, client in taken:
         with pytest.raises(ValueError):
             client.model[0] = 1.0
         with pytest.raises(ValueError):
             client.hessian.diag[0] = 1.0
     provider = DirectionProvider(cfg.schedule(), task.dim)
-    rebuilt = client_rebuild(idle[0], fetch_since(result.server.ledger, 0), cfg.eta, provider)
+    fresh = ClientState(id=0, model=task.x0, hessian=cfg.initial_hessian(task.dim))
+    rebuilt = client_rebuild(fresh, fetch_since(result.server.ledger, 0), cfg.eta, provider)
     assert rebuilt.model.tobytes() == result.server.model.tobytes()
     assert rebuilt.hessian.diag.tobytes() == result.server.hessian.diag.tobytes()
+
+
+def test_replicas_live_only_until_their_last_read(monkeypatch):
+    # M >> m: at each round, the replica model arrays still alive number no
+    # more than the readers still to read one: the clients drawn at or after
+    # that round, plus the shared replica while a first draw remains
+    cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
+    task = small_task(M=64)
+    first_draw, last_draw = {}, {}
+    for r in range(cfg.rounds):
+        for cid in map(int, sample_clients(64, 2, r, cfg.sampling_seed)):
+            first_draw.setdefault(cid, r)
+            last_draw[cid] = r
+    arrays, excess = [], []
+    update = fedsim.client_local_update
+
+    def measured(client, r, config, task, provider):
+        if not any(ref() is client.model for ref in arrays):
+            arrays.append(weakref.ref(client.model))
+        gc.collect()
+        alive = sum(ref() is not None for ref in arrays)
+        pending = (sum(t >= r for t in last_draw.values())
+                   + (max(first_draw.values()) >= r))
+        excess.append(alive - pending)
+        return update(client, r, config, task, provider)
+
+    monkeypatch.setattr(fedsim, "client_local_update", measured)
+    run_training(cfg, task)
+    assert len(excess) == cfg.rounds * cfg.sampled_per_round
+    assert max(excess) <= 0
 
 
 def test_shared_replica_matches_independent_rebuilds(monkeypatch):
@@ -625,20 +680,16 @@ def test_shared_replica_matches_independent_rebuilds(monkeypatch):
     # each round at most once, however many clients it serves.
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
     task = small_task(M=64)
-    taken, replayed = {}, []
-    update, rebuild = fedsim.client_local_update, fedsim.client_rebuild
-
-    def recorded_update(client, r, config, task, provider):
-        taken.setdefault(client.id, (r, client))
-        return update(client, r, config, task, provider)
+    updates, replayed = capture_updates(monkeypatch), []
+    rebuild = fedsim.client_rebuild
 
     def counted_rebuild(client, missed, eta, provider):
         replayed.append(len(missed))
         return rebuild(client, missed, eta, provider)
 
-    monkeypatch.setattr(fedsim, "client_local_update", recorded_update)
     monkeypatch.setattr(fedsim, "client_rebuild", counted_rebuild)
     result = run_training(cfg, task)
+    taken = {client.id: (r, client) for r, client in reversed(updates)}
     feed = fetch_since(result.server.ledger, 0)
     provider = DirectionProvider(cfg.schedule(), task.dim)
     for cid, (first, client) in taken.items():

@@ -121,10 +121,19 @@ def test_account_rejects_zero_rounds():
 
 def test_sweep_rows_and_budget(tmp_path):
     spec = quad_spec(R=4)
-    rows = harness.sweep(spec, nu_list=[0.0, 0.1], eta_list=[0.01, 0.02])
+    rows = harness.sweep(spec, nu_list=[0.0, 0.1], eta_list=[0.01, 0.02], loss_factor=2.0)
     assert len(rows) == 4
     assert {(r["nu"], r["eta"]) for r in rows} == {(0.0, 0.01), (0.0, 0.02),
                                                    (0.1, 0.01), (0.1, 0.02)}
+    # rounds_to_threshold is the first round whose trace loss is at or below
+    # initial / 2; the larger step gets there within R, the smaller does not
+    task, _ = harness._build(spec)
+    threshold = task.global_loss(task.x0) / 2.0
+    for row in rows:
+        losses = harness.run_spec(quad_spec(R=4, nu=row["nu"], eta=row["eta"])).losses()
+        reached = [r for r, loss in enumerate(losses) if loss <= threshold]
+        assert row["rounds_to_threshold"] == (reached[0] if reached else None)
+        assert (row["rounds_to_threshold"] is None) == (row["eta"] == 0.01)
     path = harness.write_sweep_csv(rows, str(tmp_path / "sweep.csv"))
     with open(path) as fh:
         lines = fh.read().splitlines()

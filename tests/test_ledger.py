@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from scalarfed import (CommMeter, Ledger, RoundLog, WireCostModel, deserialize,
-                       fetch_since, full_vector_bytes, meter_round,
-                       per_client_scalar_bytes, record_round, serialize)
+from scalarfed import (CommMeter, Ledger, QuadraticTask, RoundConfig, RoundLog,
+                       WireCostModel, deserialize, fetch_since, full_vector_bytes,
+                       meter_round, per_client_scalar_bytes, record_round, run_training,
+                       serialize)
 from scalarfed.errors import LedgerFormatError, LedgerRangeError, ProtocolOrderError
 from scalarfed.rng import mix, raw_uint64
 
@@ -96,6 +99,59 @@ def test_deserialize_truncated_stream_errors_with_offset():
 def test_deserialize_bad_magic():
     with pytest.raises(LedgerFormatError):
         deserialize(b"NOPE" + b"\x00" * 64)
+
+
+def run_ledger_bytes(root_seed=5):
+    """The serialized ledger of a short real run: M = 4, 4 rounds, (tau, P) = (1, 2)."""
+    task = QuadraticTask.build(dim=6, num_clients=4, seed=3, spectrum_variance=1.0,
+                               offset_scale=0.1, x0_scale=0.5)
+    config = RoundConfig(num_clients=4, sampled_per_round=2, rounds=4, eta=0.02,
+                         perturbations=2, root_seed=root_seed)
+    return serialize(run_training(config, task).server.ledger, root_seed=root_seed)
+
+
+def patched(blob, offset, fmt, value):
+    data = bytearray(blob)
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+def test_deserialize_rejects_nonzero_pad():
+    # the pad is not read, so a non-zero one would re-serialize to other bytes
+    with pytest.raises(LedgerFormatError) as err:
+        deserialize(patched(run_ledger_bytes(), 6, "<H", 1))
+    assert err.value.offset == 6
+
+
+@pytest.mark.parametrize("field", [8, 10], ids=["tau-0", "P-0"])
+def test_deserialize_rejects_empty_scalar_shape_with_rounds(field):
+    blob = run_ledger_bytes()
+    count_at = 24 + 8 * 4  # the header, then M = 4 participation rounds
+    assert struct.unpack_from("<HH", blob, 8) == (1, 2)
+    assert struct.unpack_from("<Q", blob, count_at) == (4,)
+    # keep the stream consistent with the zeroed shape: only round indices remain
+    shrunk = patched(blob[:count_at + 8], field, "<H", 0)
+    shrunk += b"".join(struct.pack("<Q", r) for r in range(4))
+    with pytest.raises(LedgerFormatError) as err:
+        deserialize(shrunk)
+    assert err.value.offset == 8
+
+
+def test_deserialize_rejects_scalar_shape_without_rounds():
+    # an empty ledger serializes as (tau, P) = (0, 0), so any other shape
+    # with no rounds cannot come from serialize
+    with pytest.raises(LedgerFormatError) as err:
+        deserialize(patched(serialize(Ledger(num_clients=2)), 8, "<H", 3))
+    assert err.value.offset == 8
+
+
+@pytest.mark.parametrize("client, value", [(0, 4), (2, 4 + 2**63)],
+                         ids=["at-count", "high-bit"])
+def test_deserialize_rejects_participation_beyond_the_rounds(client, value):
+    # a round at or past the count would make the first fetch_since fail
+    with pytest.raises(LedgerFormatError) as err:
+        deserialize(patched(run_ledger_bytes(), 24 + 8 * client, "<Q", value))
+    assert err.value.offset == 24 + 8 * client
 
 
 def test_meter_hand_cases():

@@ -62,7 +62,7 @@ def mutations(draw):
     return spec, section, key
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(mutations())
 def test_any_one_field_mutation_runs_or_names_a_field(mutation):
     spec, section, key = mutation
