@@ -6,7 +6,9 @@ replica bitwise equal to the server state; it then runs tau local steps along
 shared seed-derived directions, collecting tau x P LOCAL gradient scalars,
 and resets its model to the round-start value; the server averages the
 scalar matrices, advances the model and the curvature EMA, and appends the
-round log to the ledger.
+round log to the ledger. Rebuild closure (a client that was absent lands on
+the state of one that never left) lets the simulator run that replay once
+per round, on one shadow replica that every sampled client is handed.
 
 One round loop, run_training, serves the protocol and its full-vector
 oracles; they differ only in how round-start state reaches a client (see its
@@ -108,35 +110,27 @@ class DirectionProvider:
     """Seed -> raw Gaussian direction lookup shared by all parties.
 
     u(r, k, p) is a pure function of the schedule, so server, clients and
-    oracles may share one provider without coupling. Given the run's plan
-    `last_use` (last_use[j] is the round after which round j's directions are
-    never read again), it caches round j from its first read until
-    release(last_use[j]): every direction is generated once, and only rounds
-    still due to be read stay in memory. Without a plan it caches nothing,
-    which suits a reader that requests each direction once.
+    oracles may share one provider without coupling. It caches only the round
+    it was last asked for, and a request for any other round drops that
+    round. Every reader (the server, the shadow replica, the local updates,
+    an offline replay) asks for rounds in ascending order, so each direction
+    is generated once and at most one round (tau x P vectors) is held.
     """
 
-    def __init__(self, schedule: SeedSchedule, dim: int, last_use=None):
+    def __init__(self, schedule: SeedSchedule, dim: int):
         self.schedule = schedule
         self.dim = dim
-        self._cache = {}  # round not yet released -> {(k, p): u}
-        self._expiring = {}  # round t -> rounds whose last reader is round t
-        for j, t in enumerate(last_use or ()):
-            self._cache[j] = {}
-            self._expiring.setdefault(t, []).append(j)
+        self._round = None
+        self._cache = {}  # (k, p) -> u of round self._round
 
     def u(self, r: int, k: int, p: int) -> np.ndarray:
-        live = self._cache.get(r, {})
-        got = live.get((k, p))
+        if r != self._round:
+            self._round, self._cache = r, {}
+        got = self._cache.get((k, p))
         if got is None:
-            got = live[(k, p)] = gaussian_vector(self.schedule.perturbation_seed(r, k, p),
-                                                 self.dim)
+            got = self._cache[(k, p)] = gaussian_vector(self.schedule.perturbation_seed(r, k, p),
+                                                        self.dim)
         return got
-
-    def release(self, t: int):
-        """Drop every round whose last reader was round t."""
-        for j in self._expiring.pop(t, ()):
-            del self._cache[j]
 
 
 @dataclass
@@ -162,30 +156,6 @@ def sample_clients(num_clients: int, m: int, r: int, sampling_seed: int) -> np.n
     perturbation streams (changing M or m never perturbs directions)."""
     seed = SeedSchedule(root=sampling_seed).sampling_seed(r)
     return sample_without_replacement(seed, num_clients, m)
-
-
-def _last_use(plan, transport: str):
-    """Walk the plan once; return (last_use, last_read).
-
-    last_use[j] is the last round whose work reads round j's directions:
-    every round reads its own. Under "replay" each draw reads one replica,
-    keyed by reader: the client's own once it has been sampled, otherwise
-    None, the shared replica of every client not yet sampled. The draw
-    replays every round since that replica last advanced and stores the
-    result under both the reader and the client. last_read maps each key to
-    the last round that reads or stores it, after which nothing reads it
-    again. The rounds only advance, so the last write is the latest.
-    """
-    last_use = list(range(len(plan)))
-    at = {None: 0}  # key -> the round its replica stands at
-    if transport == "replay":
-        for r, sampled in enumerate(plan):
-            for cid in map(int, sampled):
-                reader = cid if cid in at else None
-                for j in range(at[reader], r):
-                    last_use[j] = r
-                at[reader] = at[cid] = r
-    return last_use, at
 
 
 def _quantize(a: np.ndarray) -> np.ndarray:
@@ -360,20 +330,19 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     models, ledger, meter and trace (bar wall time); any difference convicts
     the ledger/rebuild/reset machinery. "natural": the direct hand-off, but the
     server averages the clients' delta vectors instead of replaying the mean
-    scalars; it agrees only to rounding. Only "replay" keeps client replicas.
+    scalars; it agrees only to rounding. Only "replay" keeps a replica.
 
-    The sampling plan is drawn up front; from it the direction cache knows
-    each round's last reader and drops the round right after it, so no
-    direction is generated twice and, unless some returning client stays away
-    for most of the run, the cache does not grow with R. Replicas live in one
-    table keyed by reader (see `_last_use`): None holds the shared replica of
-    every client not yet sampled, which starts as the read-only (x0,
-    identity) pair. Every draw rebuilds the reader's replica over the rounds
-    it missed, freezes the result and stores it under the reader and the
-    client; rebuild copies before it advances, so the frozen arrays are
-    never written. A key is dropped after the last round that reads it, not
-    during it, since two first draws in one round both read the shared
-    replica. Missed rounds, and so the meter and staleness, count from the
+    Under "replay" the run keeps one shadow replica, the client that never
+    left: it starts as the read-only (x0, identity) pair and, at the top of
+    every round after the first, rebuilds over the one ledger round it
+    missed; its arrays are then frozen (rebuild copies before it advances).
+    Rebuild closure makes it the state that any absent client would rebuild,
+    so every sampled client is handed the shadow under its own id: each
+    round is replayed once, however many clients return to it, and no server
+    vector reaches a client. Clients are sampled round by round and every
+    reader asks for directions in ascending rounds, so the provider's
+    one-round cache generates each direction once, and memory does not grow
+    with R. Missed rounds, and so the meter and staleness, count from the
     ledger's last participation. Where the task's optional
     `curvature_truth()` returns (Sigma, L), each record carries the
     diagnostics.
@@ -384,10 +353,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
                 f"the config's M = {config.num_clients}", SPEC_NAMES["num_clients"])
     dim = task.dim
     truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
-    plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
-                           config.sampling_seed) for r in range(config.rounds)]
-    last_use, last_read = _last_use(plan, transport)
-    provider = DirectionProvider(config.schedule(), dim, last_use)
+    provider = DirectionProvider(config.schedule(), dim)
     x0 = np.array(task.x0, dtype=np.float64)
     identity = config.initial_hessian(dim)
     for shared in (x0, identity.diag):
@@ -398,39 +364,35 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         ledger=Ledger(num_clients=config.num_clients),
         meter=CommMeter(cost=config.cost_model),
     )
-    replicas = {None: ClientState(id=-1, model=x0, hessian=identity)}
+    shadow = ClientState(id=-1, model=x0, hessian=identity)
     trace = []
     models = [] if keep_models else None
     evals = 0
     started = time.perf_counter()
-    for r, sampled in enumerate(plan):
-        missed_counts = []
-        matrices = []
-        for cid in map(int, sampled):
-            missed_counts.append(r - server.ledger.last_participation[cid])
-            if transport == "replay":
-                reader = cid if cid in replicas else None
-                missed = fetch_since(server.ledger, replicas[reader].last_round)
-                client = client_rebuild(replicas[reader], missed, config.eta, provider)
-                for array in (client.model, client.hessian.diag):
-                    array.setflags(write=False)
-                client = replicas[reader] = replicas[cid] = replace(client, id=cid)
-            else:
-                client = ClientState(id=cid, model=server.model, hessian=server.hessian)
-            matrices.append(client_local_update(client, r, config, task, provider))
-            evals += config.tau * (config.perturbations + 1)
+    for r in range(config.rounds):
+        sampled = [int(c) for c in sample_clients(config.num_clients, config.sampled_per_round,
+                                                   r, config.sampling_seed)]
+        if transport != "replay":  # the oracles hand the server state over by value
+            shadow = ClientState(id=-1, model=server.model, hessian=server.hessian)
+        elif r:
+            shadow = client_rebuild(shadow, fetch_since(server.ledger, shadow.last_round),
+                                    config.eta, provider)
+            for array in (shadow.model, shadow.hessian.diag):
+                array.setflags(write=False)
+        missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
+        matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider)
+                    for cid in sampled]
+        evals += len(sampled) * config.tau * (config.perturbations + 1)
         if transport == "natural":
             log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))
             model, hessian = _average_deltas(server, matrices, r, config, provider)
         else:
             log, model, hessian = server_aggregate(server, matrices, r, config, provider)
-        provider.release(r)
-        replicas = {key: held for key, held in replicas.items() if last_read[key] > r}
         prev_meter = server.meter
         server = ServerState(
             model=model,
             hessian=hessian,
-            ledger=record_round(server.ledger, log, [int(c) for c in sampled]),
+            ledger=record_round(server.ledger, log, sampled),
             meter=meter_round(
                 server.meter, config.sampled_per_round, config.tau,
                 config.perturbations, missed_counts,

@@ -95,9 +95,9 @@ def record_round(ledger: Ledger, log: RoundLog, participants) -> Ledger:
 def fetch_since(ledger: Ledger, r_last: int):
     """All logs with round in [r_last, current), ascending; the replay feed
     for a client whose model state is the global model at round r_last."""
-    if r_last > ledger.current_round:
+    if not 0 <= r_last <= ledger.current_round:
         raise LedgerRangeError(
-            f"r_last={r_last} beyond current round {ledger.current_round}"
+            f"r_last={r_last} outside [0, current round {ledger.current_round}]"
         )
     return list(ledger.logs[r_last:])
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from scalarfed import (ClientState, DiagHessian, DirectionProvider, QuadraticTas
                        fetch_since, gaussian_vector, inv_sqrt, run_training,
                        sample_clients, scale_direction, serialize, server_aggregate)
 from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
-from scalarfed.fedsim import _last_use, _replay, aggregate_scalars
+from scalarfed.fedsim import _replay, aggregate_scalars
 from scalarfed.harness import fuzz_config
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
 from scalarfed.rng import mix
@@ -546,82 +547,97 @@ def test_local_update_mean_step_is_preconditioned_gradient():
 
 
 def cached_bytes(provider):
-    return sum(u.nbytes for live in provider._cache.values() for u in live.values())
+    return sum(u.nbytes for u in provider._cache.values())
 
 
-@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
-def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
-    # Brute-force reference: wrap the provider and record, for each round j,
-    # the last round whose work requests round j's directions. The plan must
-    # name exactly that round, every seed must be generated once, and the
-    # cache must be empty once the run is over.
-    reads, seeds, providers, current = {}, [], [], [0]
-    u, release = DirectionProvider.u, DirectionProvider.release
+def record_requests(monkeypatch):
+    """Record (provider, round, bytes cached after the request) for every
+    direction request, and every seed generated."""
+    requests, seeds = [], []
+    u = DirectionProvider.u
 
     def recorded_u(provider, r, k, p):
-        reads[r] = current[0]  # rounds only advance, so the last write is the latest
-        return u(provider, r, k, p)
-
-    def recorded_release(provider, t):
-        release(provider, t)
-        current[0] = t + 1
-        providers.append(provider)
+        got = u(provider, r, k, p)
+        requests.append((provider, r, cached_bytes(provider)))
+        return got
 
     def counted(seed, dim):
         seeds.append(seed)
         return gaussian_vector(seed, dim)
 
     monkeypatch.setattr(DirectionProvider, "u", recorded_u)
-    monkeypatch.setattr(DirectionProvider, "release", recorded_release)
     monkeypatch.setattr(fedsim, "gaussian_vector", counted)
+    return requests, seeds
+
+
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
+    # Brute-force reference: record every direction request of a run. The
+    # run reads rounds in ascending order from one provider, so its one-round
+    # cache generates every seed once and never holds more than one round.
+    requests, seeds = record_requests(monkeypatch)
     inputs = [fuzz_config(3, index) for index in range(6)]
-    # M >> m: most rounds are read by the shared catch-up of first-time clients
+    # M >> m: most clients have been away for many rounds when drawn
     inputs.append((small_config(num_clients=64, sampled_per_round=2, rounds=30),
                    small_task(M=64)))
     for config, task in inputs:
-        reads.clear()
+        requests.clear()
         seeds.clear()
-        providers.clear()
-        current[0] = 0
         run_training(config, task, transport=transport)
-        plan = [sample_clients(config.num_clients, config.sampled_per_round, r,
-                               config.sampling_seed) for r in range(config.rounds)]
-        assert [reads[j] for j in range(config.rounds)] == _last_use(plan, transport)[0]
+        rounds = [r for _, r, _ in requests]
+        assert rounds == sorted(rounds) and set(rounds) == set(range(config.rounds))
+        assert len({id(provider) for provider, _, _ in requests}) == 1
         assert len(seeds) == len(set(seeds)) == config.rounds * config.tau * config.perturbations
-        assert len(set(map(id, providers))) == 1 and providers[-1]._cache == {}
+        one_round = config.tau * config.perturbations * task.dim * 8
+        assert max(cached for _, _, cached in requests) <= one_round
 
 
 @pytest.mark.parametrize("rounds", [6, 24])
 def test_full_participation_keeps_one_round_live(monkeypatch, rounds):
-    # with M = m every client replays only the previous round, so after each
-    # round's release only that round is cached, however long the run
+    # however long the run and whatever the transport, the cache holds at
+    # most one round after every request, and exactly the last round at the end
     cfg = small_config(num_clients=3, sampled_per_round=3, rounds=rounds)
     task = small_task(M=3)
-    live = []
-    release = DirectionProvider.release
-
-    def measured(provider, t):
-        release(provider, t)
-        live.append(cached_bytes(provider))
-
-    monkeypatch.setattr(DirectionProvider, "release", measured)
-    run_training(cfg, task)
     one_round = cfg.tau * cfg.perturbations * task.dim * 8
-    assert live == [one_round] * (rounds - 1) + [0]
+    requests, _ = record_requests(monkeypatch)
+    for transport in ("replay", "direct", "natural"):
+        requests.clear()
+        run_training(cfg, task, transport=transport)
+        assert max(cached for _, _, cached in requests) == one_round
+        _, last, cached = requests[-1]
+        assert (last, cached) == (rounds - 1, one_round)
 
 
-def test_provider_without_plan_caches_nothing(monkeypatch):
-    calls = []
-
-    def counted(seed, dim):
-        calls.append(seed)
-        return gaussian_vector(seed, dim)
-
-    monkeypatch.setattr(fedsim, "gaussian_vector", counted)
+def test_provider_reused_across_rounds_holds_only_the_last(monkeypatch):
+    # a request for another round drops the cached one; the dropped round is
+    # generated again, bit for bit, if it is asked for once more
+    _, seeds = record_requests(monkeypatch)
     provider = DirectionProvider(small_config().schedule(), 10)
     first, again = provider.u(2, 1, 0), provider.u(2, 1, 0)
-    assert first.tobytes() == again.tobytes()
-    assert len(calls) == 2 and provider._cache == {}
+    assert first is again and len(seeds) == 1
+    provider.u(2, 0, 0)
+    assert cached_bytes(provider) == 2 * 10 * 8
+    provider.u(3, 0, 0)
+    assert provider._round == 3 and cached_bytes(provider) == 10 * 8
+    assert provider.u(2, 1, 0).tobytes() == first.tobytes()
+    assert len(seeds) == 4 and provider._round == 2 and cached_bytes(provider) == 10 * 8
+
+
+def test_memory_does_not_grow_with_rounds():
+    # M >> m at d = 5000: the run's traced peak at R = 160 exceeds the peak
+    # at R = 10 by less than one round of directions (P * d * 8 bytes)
+    def peak(rounds):
+        cfg = small_config(num_clients=64, sampled_per_round=2, rounds=rounds, tau=1,
+                           perturbations=5)
+        task = small_task(M=64, dim=5000)
+        tracemalloc.start()
+        try:
+            run_training(cfg, task)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(160) - peak(10) < 5 * 5000 * 8
 
 
 def test_never_sampled_clients_share_one_read_only_start(monkeypatch):
@@ -645,39 +661,33 @@ def test_never_sampled_clients_share_one_read_only_start(monkeypatch):
 
 
 def test_replicas_live_only_until_their_last_read(monkeypatch):
-    # M >> m: at each round, the replica model arrays still alive number no
-    # more than the readers still to read one: the clients drawn at or after
-    # that round, plus the shared replica while a first draw remains
+    # M >> m: the read-only x0 start, handed out in round 0, lives for the
+    # whole run; from round 1 on, at every local update the only other replica
+    # model alive is the one the update is handed, the shadow's, which the
+    # next round replaces
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
     task = small_task(M=64)
-    first_draw, last_draw = {}, {}
-    for r in range(cfg.rounds):
-        for cid in map(int, sample_clients(64, 2, r, cfg.sampling_seed)):
-            first_draw.setdefault(cid, r)
-            last_draw[cid] = r
-    arrays, excess = [], []
+    arrays, alive = [], []
     update = fedsim.client_local_update
 
     def measured(client, r, config, task, provider):
-        if not any(ref() is client.model for ref in arrays):
+        if r and not any(ref() is client.model for ref in arrays):
             arrays.append(weakref.ref(client.model))
         gc.collect()
-        alive = sum(ref() is not None for ref in arrays)
-        pending = (sum(t >= r for t in last_draw.values())
-                   + (max(first_draw.values()) >= r))
-        excess.append(alive - pending)
+        alive.append(sum(ref() is not None for ref in arrays))
         return update(client, r, config, task, provider)
 
     monkeypatch.setattr(fedsim, "client_local_update", measured)
     run_training(cfg, task)
-    assert len(excess) == cfg.rounds * cfg.sampled_per_round
-    assert max(excess) <= 0
+    assert alive == [0] * cfg.sampled_per_round + [1] * ((cfg.rounds - 1) * cfg.sampled_per_round)
+    assert len(arrays) == cfg.rounds - 1
 
 
 def test_shared_replica_matches_independent_rebuilds(monkeypatch):
     # Each client's replica at its first appearance f equals a fresh start
-    # rebuilt on its own over rounds [0, f), and the shared catch-up replays
-    # each round at most once, however many clients it serves.
+    # rebuilt on its own over rounds [0, f), and the shadow replays each
+    # round once, however many clients it serves: R - 1 rebuilds of one
+    # round each, against sum(first) separate catch-ups.
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
     task = small_task(M=64)
     updates, replayed = capture_updates(monkeypatch), []
@@ -698,12 +708,5 @@ def test_shared_replica_matches_independent_rebuilds(monkeypatch):
         assert client.last_round == alone.last_round == first
         assert client.model.tobytes() == alone.model.tobytes()
         assert client.hessian.diag.tobytes() == alone.hessian.diag.tobytes()
-    # returning clients replay from their previous appearance; the rest is
-    # the shared catch-up, where separate replays would total sum(first)
-    last, returning = {}, 0
-    for r in range(cfg.rounds):
-        for cid in map(int, sample_clients(64, 2, r, cfg.sampling_seed)):
-            returning += r - last.get(cid, r)
-            last[cid] = r
     assert sum(first for first, _ in taken.values()) > cfg.rounds
-    assert sum(replayed) - returning <= cfg.rounds
+    assert replayed == [1] * (cfg.rounds - 1)

@@ -57,6 +57,17 @@ def test_fetch_since_ranges():
         fetch_since(led, 8)
 
 
+@pytest.mark.parametrize("r_last", [-1, -4, -8])
+def test_fetch_since_rejects_negative_round(r_last):
+    # a negative start would slice from the end: -1 on a 4-round ledger
+    # returned only the log of round 3
+    led = Ledger(num_clients=2)
+    for r in range(4):
+        led = record_round(led, make_log(r), [0])
+    with pytest.raises(LedgerRangeError):
+        fetch_since(led, r_last)
+
+
 def test_fetch_coverage_count_oracle():
     # concatenated per-client fetches cover every round exactly once per client
     M, R = 4, 50
