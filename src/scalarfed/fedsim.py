@@ -30,7 +30,7 @@ from .curvature import (DEFAULT_BETA_LOWER, DEFAULT_BETA_UPPER, DEFAULT_EPSILON,
                         DiagHessian, diagnostics, ema_update, inv_sqrt)
 from .errors import EstimatorFailureError, ProtocolOrderError, check_range, check_type
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
-from .rng import SeedSchedule, gaussian_vector, sample_without_replacement
+from .rng import SeedSchedule, gaussian_rows, gaussian_vector, sample_without_replacement
 from .zo import multi_perturbation_delta, scale_direction
 
 
@@ -109,28 +109,36 @@ class RoundConfig:
 class DirectionProvider:
     """Seed -> raw Gaussian direction lookup shared by all parties.
 
-    u(r, k, p) is a pure function of the schedule, so server, clients and
-    oracles may share one provider without coupling. It caches only the round
-    it was last asked for, and a request for any other round drops that
-    round. Every reader (the server, the shadow replica, the local updates,
-    an offline replay) asks for rounds in ascending order, so each direction
-    is generated once and at most one round (tau x P vectors) is held.
+    block(r, (tau, P)) is round r's (tau, P, d) array of directions, a pure
+    function of the schedule, so server, clients and oracles may share one
+    provider without coupling. The round is drawn in one gaussian_rows call
+    and held, read-only, until a request for any other round drops it. Every
+    reader (the server, the shadow replica, the local updates, an offline
+    replay) asks for rounds in ascending order, so each direction is
+    generated once and at most one round is held. u(r, k, p) is one row: a
+    row of the held round, or else drawn alone.
     """
 
     def __init__(self, schedule: SeedSchedule, dim: int):
         self.schedule = schedule
         self.dim = dim
         self._round = None
-        self._cache = {}  # (k, p) -> u of round self._round
+        self._block = None  # (tau, P, d) directions of round self._round
+
+    def block(self, r: int, shape) -> np.ndarray:
+        if r != self._round or self._block.shape[:2] != tuple(shape):
+            seeds = [self.schedule.perturbation_seed(r, k, p)
+                     for k in range(shape[0]) for p in range(shape[1])]
+            self._round = self._block = None  # drop the old round before drawing
+            self._block = gaussian_rows(seeds, self.dim).reshape(*shape, self.dim)
+            self._block.setflags(write=False)
+            self._round = r
+        return self._block
 
     def u(self, r: int, k: int, p: int) -> np.ndarray:
-        if r != self._round:
-            self._round, self._cache = r, {}
-        got = self._cache.get((k, p))
-        if got is None:
-            got = self._cache[(k, p)] = gaussian_vector(self.schedule.perturbation_seed(r, k, p),
-                                                        self.dim)
-        return got
+        if r == self._round and k < self._block.shape[0] and p < self._block.shape[1]:
+            return self._block[k, p]
+        return gaussian_vector(self.schedule.perturbation_seed(r, k, p), self.dim)
 
 
 @dataclass
@@ -172,9 +180,10 @@ def _replay(model, hessian, logs, provider, eta):
     zs = [np.empty_like(diag) for _ in range(logs[0].scalars.shape[1])] if logs else []
     for log in logs:
         inv_sqrt(diag, out=isH)
+        directions = provider.block(log.round, log.scalars.shape)
         for k, scalars in enumerate(log.scalars):
             for p, z in enumerate(zs):
-                scale_direction(provider.u(log.round, k, p), isH, out=z)
+                scale_direction(directions[k, p], isH, out=z)
             multi_perturbation_delta(scalars, zs, out=delta, work=work)
             model -= np.multiply(delta, eta, out=work)
             ema_update(hessian, delta, out=diag, work=work)
@@ -212,6 +221,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
     isH = inv_sqrt(client.hessian)
     mu = config.mu
     scalars = np.empty((config.tau, config.perturbations))
+    directions = provider.block(r, scalars.shape)
     for k in range(config.tau):
         batch = task.draw_batch(client.id, r, k, provider.schedule)
         base = task.client_loss(client.id, x, batch)
@@ -222,7 +232,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
             )
         zs = []
         for p in range(config.perturbations):
-            z = scale_direction(provider.u(r, k, p), isH)
+            z = scale_direction(directions[k, p], isH)
             zs.append(z)
             perturbed = task.client_loss(client.id, x + mu * z, batch)
             if not np.isfinite(perturbed):
@@ -272,9 +282,9 @@ def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
     floating-point distinct."""
     model, hessian = server.model, server.hessian
     isH = inv_sqrt(hessian)
+    directions = provider.block(r, (config.tau, config.perturbations))
     for k in range(config.tau):
-        zs = [scale_direction(provider.u(r, k, p), isH)
-              for p in range(config.perturbations)]
+        zs = [scale_direction(u, isH) for u in directions[k]]
         client_deltas = [multi_perturbation_delta(mat[k], zs) for mat in matrices]
         delta = client_deltas[0].copy()
         for extra in client_deltas[1:]:

@@ -62,15 +62,10 @@ class QuadraticTask:
         check_range("seed", seed, 0 <= seed < 2**64, "in [0, 2**64)")
         check_range("spectrum_variance", spectrum_variance, spectrum_variance > 0, "positive")
         spectrum = make_lognormal_spectrum(dim, spectrum_variance, seed)
-        # built in place, one (M, d) buffer: the same operations in the same
+        # built in place, one (M, d) block: the same operations in the same
         # order as shift + offset_scale * (offsets - mean), bit for bit
-        centers = np.empty((num_clients, dim))
-        for i in range(num_clients):
-            # `row` keeps the previous draw referenced until the next one is
-            # made: freed first, it lets malloc trim the heap top, and each draw
-            # faults its temporaries in afresh (2.5x the page faults at d = 1e5)
-            row = rng.gaussian_vector(rng.mix(seed, rng.DOMAIN_TASK, 1, i), dim)
-            centers[i] = row
+        clients = np.arange(num_clients, dtype=np.uint64)
+        centers = rng.gaussian_rows(rng.mix(seed, rng.DOMAIN_TASK, 1, clients), dim)
         centers -= centers.mean(axis=0)  # exact zero mean: optimum stays at the shift
         centers *= offset_scale
         centers += shift

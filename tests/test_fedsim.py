@@ -15,7 +15,7 @@ from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderEr
 from scalarfed.fedsim import _replay, aggregate_scalars
 from scalarfed.harness import fuzz_config
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
-from scalarfed.rng import mix
+from scalarfed.rng import gaussian_rows, mix
 
 
 def small_config(**over):
@@ -547,25 +547,30 @@ def test_local_update_mean_step_is_preconditioned_gradient():
 
 
 def cached_bytes(provider):
-    return sum(u.nbytes for u in provider._cache.values())
+    return 0 if provider._block is None else provider._block.nbytes
 
 
 def record_requests(monkeypatch):
     """Record (provider, round, bytes cached after the request) for every
-    direction request, and every seed generated."""
+    direction block request, and every seed generated."""
     requests, seeds = [], []
-    u = DirectionProvider.u
+    block = DirectionProvider.block
 
-    def recorded_u(provider, r, k, p):
-        got = u(provider, r, k, p)
+    def recorded_block(provider, r, shape):
+        got = block(provider, r, shape)
         requests.append((provider, r, cached_bytes(provider)))
         return got
+
+    def counted_rows(row_seeds, dim):
+        seeds.extend(int(seed) for seed in row_seeds)
+        return gaussian_rows(row_seeds, dim)
 
     def counted(seed, dim):
         seeds.append(seed)
         return gaussian_vector(seed, dim)
 
-    monkeypatch.setattr(DirectionProvider, "u", recorded_u)
+    monkeypatch.setattr(DirectionProvider, "block", recorded_block)
+    monkeypatch.setattr(fedsim, "gaussian_rows", counted_rows)
     monkeypatch.setattr(fedsim, "gaussian_vector", counted)
     return requests, seeds
 
@@ -613,14 +618,17 @@ def test_provider_reused_across_rounds_holds_only_the_last(monkeypatch):
     # generated again, bit for bit, if it is asked for once more
     _, seeds = record_requests(monkeypatch)
     provider = DirectionProvider(small_config().schedule(), 10)
-    first, again = provider.u(2, 1, 0), provider.u(2, 1, 0)
-    assert first is again and len(seeds) == 1
-    provider.u(2, 0, 0)
-    assert cached_bytes(provider) == 2 * 10 * 8
-    provider.u(3, 0, 0)
-    assert provider._round == 3 and cached_bytes(provider) == 10 * 8
-    assert provider.u(2, 1, 0).tobytes() == first.tobytes()
-    assert len(seeds) == 4 and provider._round == 2 and cached_bytes(provider) == 10 * 8
+    one_round = 2 * 3 * 10 * 8
+    first, again = provider.block(2, (2, 3)), provider.block(2, (2, 3))
+    assert first is again and len(seeds) == 6 and not first.flags.writeable
+    assert np.shares_memory(provider.u(2, 1, 0), first) and len(seeds) == 6
+    assert cached_bytes(provider) == one_round
+    provider.block(3, (2, 3))
+    assert provider._round == 3 and cached_bytes(provider) == one_round
+    assert provider.u(2, 1, 0).tobytes() == first[1, 0].tobytes() and len(seeds) == 13
+    assert provider._round == 3  # a row of another round is drawn alone
+    assert provider.block(2, (2, 3)).tobytes() == first.tobytes()
+    assert len(seeds) == 19 and provider._round == 2 and cached_bytes(provider) == one_round
 
 
 def test_memory_does_not_grow_with_rounds():

@@ -96,3 +96,19 @@ def test_replay_equals_direct(params):
     assert replay.server.meter == direct.server.meter
     untimed = lambda trace: [dict(rec, wall_time_s=None) for rec in trace]
     assert untimed(replay.trace) == untimed(direct.trace)
+
+
+@settings(max_examples=100)
+@cover
+@given(params=runs())
+def test_decomfl_equals_nu_zero(params):
+    # the baseline protocol is this one with the curvature EMA switched off:
+    # "decomfl" at the drawn nu runs bit for bit as "hiso" at nu = 0
+    config, task = build(**dict(params, algorithm="decomfl"))
+    baseline, _ = build(**dict(params, nu=0.0, algorithm="hiso"))
+    flag = run_training(config, task, keep_models=True)
+    hiso0 = run_training(baseline, task, keep_models=True)
+    assert [m.tobytes() for m in flag.models] == [m.tobytes() for m in hiso0.models]
+    assert flag.server.hessian.diag.tobytes() == hiso0.server.hessian.diag.tobytes()
+    assert serialize(flag.server.ledger) == serialize(hiso0.server.ledger)
+    assert flag.losses().tobytes() == hiso0.losses().tobytes()

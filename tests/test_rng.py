@@ -1,11 +1,16 @@
 import hashlib
+import os
+import signal
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from scalarfed import SeedCollisionError, SeedSchedule, gaussian_vector, mix
+from scalarfed import SeedCollisionError, SeedSchedule, gaussian_vector, mix, rng
 from scalarfed.errors import InvalidDimensionError
-from scalarfed.rng import raw_uint64, sample_without_replacement, uniform_indices
+from scalarfed.rng import gaussian_rows, raw_uint64, sample_without_replacement, uniform_indices
 
 
 def test_gaussian_determinism():
@@ -129,11 +134,104 @@ def test_raw_stream_equals_fresh_philox_across_interleaved_calls():
     (2**63, 33, "eb8ce68c3d6bc327f2be082cef6175f38a5cba4879cea148ef90ac2df4070702"),
     (2**64 - 1, 200, "480c1a05dc37239179051c4908b15d10c437a15bef47b29ff4eb7148f35c5095"),
     (123456789, 1001, "47a0e6aa6bc4891dff5dcc3e6cf375528b4cf5ef936c993964d130e724e57a5f"),
+    # several chunks: an odd dim whose last chunk ends on a dropped sine, and
+    # one vector of the large-d workload
+    (31337, 200001, "32eb6e337c2765025096072c3cf4c93eba521a0b93ce79ab208502fbf6f0c599"),
+    (42, 100000, "e011fb2dee8f7171231de00c0f324bdf7ee1adfddd4f0b57cbb2c21eee2f0be0"),
 ])
 def test_gaussian_vector_pinned_bytes(seed, dim, digest):
     v = gaussian_vector(seed, dim)
     assert v.shape == (dim,)
     assert hashlib.sha256(v.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def reference_gaussian(seed, dim):
+    """Box-Muller over a fresh Philox's whole stream in one array pass."""
+    n_pairs = (dim + 1) // 2
+    raw = np.random.Philox(key=seed).random_raw(2 * n_pairs)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.empty(2 * n_pairs)
+    z[0::2] = radius * np.cos(theta)
+    z[1::2] = radius * np.sin(theta)
+    return z[:dim]
+
+
+BLOCK_SEEDS = [0, 1, 2**63, 2**64 - 1, 123456789, 5, 6, 7, 8]
+BLOCK_DIMS = [1, 2, 3, 7, 33, 200, 1001]
+
+
+def test_gaussian_rows_chunks_mid_block_and_across_rows(monkeypatch):
+    # rows drawn one at a time in one chunk are the reference; with 3-pair
+    # chunks a chunk starts mid Philox block (every other one) and straddles
+    # rows, with helper threads and in the calling thread alone
+    single = {(seed, dim): gaussian_vector(seed, dim).tobytes()
+              for seed in BLOCK_SEEDS for dim in BLOCK_DIMS}
+    for (seed, dim), got in single.items():
+        assert got == reference_gaussian(seed, dim).tobytes()
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
+    for pool in ("pool", "inline"):
+        if pool == "inline":
+            monkeypatch.setattr(rng, "_POOL", (None, 0))
+        for dim in BLOCK_DIMS:
+            for n in range(1, 10):
+                block = gaussian_rows(BLOCK_SEEDS[:n], dim)
+                assert block.shape == (n, dim) and block.flags.c_contiguous
+                for seed, row in zip(BLOCK_SEEDS, block):
+                    assert row.tobytes() == single[seed, dim], (pool, dim, n, seed)
+
+
+def test_concurrent_blocks_match_serial_draws(monkeypatch):
+    # two threads drawing different blocks at once, through the shared pool
+    # (3-pair chunks) and through their own generators (one-chunk blocks and
+    # raw streams), get the bytes of serial draws
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
+    jobs = [[(BLOCK_SEEDS[:4], 201), (BLOCK_SEEDS[4:], 1), (BLOCK_SEEDS[2:5], 33)],
+            [(BLOCK_SEEDS[5:], 101), (BLOCK_SEEDS[:2], 2), (BLOCK_SEEDS[1:6], 7)]]
+    serial = [[gaussian_rows(seeds, dim).tobytes() for seeds, dim in job] for job in jobs]
+    raw = [raw_uint64(seed, 9).tobytes() for seed in BLOCK_SEEDS]
+    start, mismatches = threading.Barrier(2), []
+
+    def draw(which):
+        start.wait(timeout=10)
+        for _ in range(30):
+            for (seeds, dim), want in zip(jobs[which], serial[which]):
+                if gaussian_rows(seeds, dim).tobytes() != want:
+                    mismatches.append((which, dim))
+            for seed, want in zip(BLOCK_SEEDS, raw):
+                if raw_uint64(seed, 9).tobytes() != want:
+                    mismatches.append((which, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_without_the_parent_pool(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads; it
+    # must make its own rather than wait on workers that do not exist
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
+    want = gaussian_rows(BLOCK_SEEDS, 33).tobytes()  # the parent's pool is live
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        signal.alarm(30)
+        os._exit(0 if gaussian_rows(BLOCK_SEEDS, 33).tobytes() == want else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def test_streams_domain_separated():

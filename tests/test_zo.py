@@ -23,15 +23,15 @@ class StubTask:
 
 
 class FixedDirection:
-    """Direction provider whose every u(r, k, p) is `z`."""
+    """Direction provider whose every round's block holds `z` in each row."""
 
     schedule = None
 
     def __init__(self, z):
         self.z = np.asarray(z, dtype=np.float64)
 
-    def u(self, r, k, p):
-        return self.z
+    def block(self, r, shape):
+        return np.broadcast_to(self.z, (*shape, self.z.size))
 
 
 def estimate(loss, x, z, mu, batch=None, P=1):
