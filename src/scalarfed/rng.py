@@ -223,7 +223,8 @@ def gaussian_vector(seed: int, dim: int) -> np.ndarray:
     Box-Muller over 53-bit uniforms: u1 in (0, 1] (shifted to keep log finite),
     u2 in [0, 1). Pairs are written interleaved so that the first k entries of
     gaussian_vector(s, n) and gaussian_vector(s, k) agree for even k. The
-    one-row case of gaussian_rows, so it may be drawn on several threads.
+    one-row case of gaussian_rows: a long vector is drawn on up to as many
+    threads as the process has CPUs, and its bits do not depend on that count.
     """
     return gaussian_rows((seed,), dim)[0]
 
