@@ -5,6 +5,7 @@ Exit codes: 0 completed, 2 invalid specification, 3 runtime estimator failure.
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, EstimatorFailureError, ScalarFedError
@@ -88,6 +89,22 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
+def _check_output(args):
+    """ConfigError naming `output`, before any work, unless the command can
+    write it: `run` makes its output directory, the others need their file's."""
+    path = args.output
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    try:
+        if args.command == "run":
+            os.makedirs(path, exist_ok=True)
+        elif os.path.isdir(path) or not os.path.isdir(parent):
+            raise NotADirectoryError(f"{path!r} is a directory or {parent!r} is none")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}", field="output") from exc
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="scalarfed",
@@ -146,6 +163,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args)
         return args.func(args)
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""

@@ -1,5 +1,6 @@
 """Exception types raised by the simulator, and the checks every config runs."""
 
+import math
 import numbers
 
 
@@ -58,16 +59,18 @@ class ConfigError(ScalarFedError):
 
 
 # bool is an Integral (and a Real), but True must not mean one round
-_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number"),
            bool: (bool, "true or false"), str: (str, "a string")}
 
 
 def check_type(name: str, value, annotation, field: str = None):
     """ConfigError naming `field` (default: `name`) unless `value` fits its
-    annotation: int admits any Integral and float any Real (so numpy numbers
-    pass), neither a bool; another class admits its instances."""
+    annotation: int admits any Integral and float any finite Real (so numpy
+    numbers pass, NaN and infinities do not), neither a bool; another class
+    admits its instances."""
     kind, requirement = _ADMITS.get(annotation) or (annotation, f"a {annotation.__name__}")
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+    if (not isinstance(value, kind) or (kind is not bool and isinstance(value, bool))
+            or (annotation is float and not -math.inf < value < math.inf)):
         raise ConfigError(f"{name} must be {requirement}, got {value!r}", field=field or name)
 
 

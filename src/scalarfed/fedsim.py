@@ -15,10 +15,11 @@ oracles; they differ only in how round-start state reaches a client (see its
 `transport`). Rebuild and aggregation advance state through one replay
 kernel, in place on private copies, with the curvature validated once at the
 kernel boundary. It and the local update share the helpers
-(scale_direction, multi_perturbation_delta, ema_update) with fixed fold
-orders: ascending client id, ascending local step, ascending perturbation.
-That discipline is what makes replay, rebuild and the full-vector oracle
-agree to the last bit, not merely to rounding error.
+(scale_direction, multi_perturbation_delta, fold_mean, ema_update) with
+fixed fold orders: ascending client id, ascending local step, ascending
+perturbation. A round's directions stay one (tau, P, d) block from draw to
+step, and each step takes its (P, d) rows whole. That discipline is what
+makes replay, rebuild and the full-vector oracle agree to the last bit.
 """
 
 import time
@@ -31,7 +32,7 @@ from .curvature import (DEFAULT_BETA_LOWER, DEFAULT_BETA_UPPER, DEFAULT_EPSILON,
 from .errors import EstimatorFailureError, ProtocolOrderError, check_range, check_type
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
 from .rng import SeedSchedule, gaussian_rows, gaussian_vector, sample_without_replacement
-from .zo import multi_perturbation_delta, scale_direction
+from .zo import fold_mean, multi_perturbation_delta, scale_direction
 
 
 # run-spec names of the fields whose spec name is not the attribute name
@@ -97,13 +98,8 @@ class RoundConfig:
         return 0.0 if self.algorithm == "decomfl" else self.nu
 
     def initial_hessian(self, dim: int) -> DiagHessian:
-        return DiagHessian.identity(
-            dim,
-            nu=self.effective_nu,
-            epsilon=self.epsilon,
-            beta_lower=self.beta_lower,
-            beta_upper=self.beta_upper,
-        )
+        return DiagHessian.identity(dim, nu=self.effective_nu, epsilon=self.epsilon,
+                                    beta_lower=self.beta_lower, beta_upper=self.beta_upper)
 
 
 class DirectionProvider:
@@ -177,14 +173,13 @@ def _replay(model, hessian, logs, provider, eta):
     EMA advances once per local step and shows only from the next round on."""
     model, diag = model.copy(), hessian.diag.copy()
     isH, delta, work = (np.empty_like(diag) for _ in range(3))
-    zs = [np.empty_like(diag) for _ in range(logs[0].scalars.shape[1])] if logs else []
+    zs = np.empty((logs[0].scalars.shape[1], diag.size)) if logs else None
     for log in logs:
         inv_sqrt(diag, out=isH)
         directions = provider.block(log.round, log.scalars.shape)
         for k, scalars in enumerate(log.scalars):
-            for p, z in enumerate(zs):
-                scale_direction(directions[k, p], isH, out=z)
-            multi_perturbation_delta(scalars, zs, out=delta, work=work)
+            scale_direction(directions[k], isH, out=zs)
+            multi_perturbation_delta(scalars, zs, out=delta, work=zs)
             model -= np.multiply(delta, eta, out=work)
             ema_update(hessian, delta, out=diag, work=work)
     return model, replace(hessian, diag=diag)
@@ -230,20 +225,19 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                 f"client {client.id} base loss diverged at round {r}, step {k}",
                 which="base", coords=(r, k, None), client=client.id,
             )
-        zs = []
-        for p in range(config.perturbations):
-            z = scale_direction(directions[k, p], isH)
-            zs.append(z)
-            perturbed = task.client_loss(client.id, x + mu * z, batch)
-            if not np.isfinite(perturbed):
-                raise EstimatorFailureError(
-                    f"client {client.id} perturbed loss diverged at round {r}, "
-                    f"step {k}, perturbation {p}",
-                    which="perturbed", coords=(r, k, p), client=client.id,
-                )
-            scalars[k, p] = (perturbed - base) / mu
+        zs = scale_direction(directions[k], isH)
+        losses = np.array([task.client_loss(client.id, x + mu * z, batch) for z in zs])
+        diverged = np.flatnonzero(~np.isfinite(losses))
+        if diverged.size:
+            p = int(diverged[0])
+            raise EstimatorFailureError(
+                f"client {client.id} perturbed loss diverged at round {r}, "
+                f"step {k}, perturbation {p}",
+                which="perturbed", coords=(r, k, p), client=client.id,
+            )
+        scalars[k] = (losses - base) / mu
         if k + 1 < config.tau:  # the reset discards the model after the last step
-            x = x - config.eta * multi_perturbation_delta(scalars[k], zs)
+            x = x - config.eta * multi_perturbation_delta(scalars[k], zs, work=zs)
     return scalars
 
 
@@ -251,11 +245,9 @@ def aggregate_scalars(matrices, quantize: bool = False) -> np.ndarray:
     """Per-(step, perturbation) mean over clients, folded in ascending client
     order. Optionally models the 32-bit wire by rounding each uploaded matrix
     and the aggregated result."""
-    acc = _quantize(matrices[0]) if quantize else matrices[0].copy()
-    for mat in matrices[1:]:
-        acc = acc + (_quantize(mat) if quantize else mat)
-    acc = acc / len(matrices)
-    return _quantize(acc) if quantize else acc
+    if not quantize:
+        return fold_mean(matrices)
+    return _quantize(fold_mean([_quantize(mat) for mat in matrices]))
 
 
 def server_aggregate(server: ServerState, matrices, r: int, config: RoundConfig,
@@ -284,12 +276,8 @@ def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
     isH = inv_sqrt(hessian)
     directions = provider.block(r, (config.tau, config.perturbations))
     for k in range(config.tau):
-        zs = [scale_direction(u, isH) for u in directions[k]]
-        client_deltas = [multi_perturbation_delta(mat[k], zs) for mat in matrices]
-        delta = client_deltas[0].copy()
-        for extra in client_deltas[1:]:
-            delta = delta + extra
-        delta = delta / len(client_deltas)
+        zs = scale_direction(directions[k], isH)
+        delta = fold_mean([multi_perturbation_delta(mat[k], zs) for mat in matrices])
         model = model - config.eta * delta
         hessian = ema_update(hessian, delta)
     return model, hessian

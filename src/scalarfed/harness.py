@@ -360,10 +360,7 @@ def account_lines(row: dict):
 
 
 def rounds_to_threshold(losses, threshold: float):
-    for r, loss in enumerate(losses):
-        if loss <= threshold:
-            return r
-    return None
+    return next((r for r, loss in enumerate(losses) if loss <= threshold), None)
 
 
 def sweep(spec: dict, nu_list=None, tau_list=None, p_list=None, eta_list=None,
@@ -408,6 +405,5 @@ def write_sweep_csv(rows, path):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path

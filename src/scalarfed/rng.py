@@ -15,7 +15,9 @@ process, forever. Two fixed, documented primitives guarantee that:
 Philox being counter-based, any stretch of a stream can be drawn on its own,
 so a block of Gaussian rows is drawn in chunks on up to as many threads as
 the process has CPUs to run on; the chunking and the thread count move no
-bit.
+bit. The block is laid out as whole pairs: columns 2j and 2j + 1 of a row
+are the cosine and sine of its pair j, in a buffer padded to an even width,
+so every chunk is one contiguous write.
 
 Seeds for the (round, step, perturbation) grid and for the independent client
 sampling / batch streams are derived from a shared root via splitmix64
@@ -106,20 +108,15 @@ def raw_uint64(seed: int, n: int) -> np.ndarray:
 
 
 def _fill_chunk(out: np.ndarray, seeds, start: int, stop: int) -> None:
-    """Pairs [start, stop) of the block out, counted row-major over its rows.
-
-    Pair j of a row takes words 2j and 2j + 1 of its seed's stream, and the
-    row's last sine is dropped where dim is odd. Each row's words come from
-    its own stream, keyed at their counter block; one transform then serves
-    them all. Its operations are elementwise, so every coordinate has the
-    bits of any other split of the same streams.
-    """
-    dim = out.shape[1]
-    pairs = (dim + 1) // 2
-    spans = [(row, max(start - row * pairs, 0), min(stop - row * pairs, pairs))
-             for row in range(start // pairs, (stop - 1) // pairs + 1)]
+    """Pairs [start, stop) of the padded block out, counted row-major: pair j
+    of a row takes words 2j and 2j + 1 of its seed's stream and fills columns
+    2j (cosine) and 2j + 1 (sine), so the chunk is one contiguous run of out.
+    One elementwise transform serves every row's words, so each coordinate
+    has the bits of any other split of the same streams."""
+    pairs = out.shape[1] // 2
     words = []
-    for row, j0, j1 in spans:
+    for row in range(start // pairs, (stop - 1) // pairs + 1):
+        j0, j1 = max(start - row * pairs, 0), min(stop - row * pairs, pairs)
         skip = (2 * j0) % 4
         words.append(_philox(seeds[row], (2 * j0) // 4).random_raw(skip + 2 * (j1 - j0))[skip:])
     raw = np.concatenate(words) if len(words) > 1 else words[0]
@@ -137,17 +134,9 @@ def _fill_chunk(out: np.ndarray, seeds, start: int, stop: int) -> None:
     theta *= 2.0 * np.pi * 2.0**-53
     cos = np.cos(theta, out=raw.view(np.float64)[:theta.size])  # the words are spent
     sin = np.sin(theta, out=theta)
-    if dim % 2 == 0:  # the chunk's coordinates are one contiguous run of out
-        dests = [(out.reshape(-1)[2 * start:2 * stop], 0, stop - start)]
-    else:  # each row drops its last sine
-        dests, at = [], 0
-        for row, j0, j1 in spans:
-            dests.append((out[row, 2 * j0:min(2 * j1, dim)], at, at + j1 - j0))
-            at += j1 - j0
-    for dest, a, b in dests:
-        np.multiply(radius[a:b], cos[a:b], out=dest[0::2])
-        odd = dest[1::2]
-        np.multiply(radius[a:a + odd.size], sin[a:a + odd.size], out=odd)
+    dest = out.reshape(-1)[2 * start:2 * stop]
+    np.multiply(radius, cos, out=dest[0::2])
+    np.multiply(radius, sin, out=dest[1::2])
 
 
 def _helpers():
@@ -180,12 +169,13 @@ if hasattr(os, "register_at_fork"):
 def gaussian_rows(seeds, dim: int) -> np.ndarray:
     """(n, dim) standard normals whose row i is gaussian_vector(seeds[i], dim).
 
-    `seeds` is a sequence of n ints or a 1-D uint64 array. The block's pairs,
-    counted row-major, are cut into chunks of _CHUNK_PAIRS; Philox is
-    counter-based, so each chunk keys its own generator at its first word. A
-    block of one chunk is drawn in the calling thread. A larger one is drawn
-    by the caller and the helper threads together, one thread per CPU the
-    process may run on, each taking the next chunk until none is left
+    `seeds` is a sequence of n ints or a 1-D uint64 array. Whole pairs are
+    drawn into an (n, 2 * ceil(dim / 2)) buffer, returned as is for even dim
+    and as a contiguous copy of its first dim columns for odd dim. The pairs,
+    counted row-major, are cut into chunks of _CHUNK_PAIRS, each keying its
+    own Philox at its first word. A one-chunk block is drawn in the calling
+    thread, a larger one by the caller and one helper thread per further CPU
+    the process may run on, each taking the next chunk until none is left
     (numpy's transcendentals release the GIL). Every chunk runs the same
     operations, so the bits depend neither on the chunking nor on the number
     of threads.
@@ -193,8 +183,9 @@ def gaussian_rows(seeds, dim: int) -> np.ndarray:
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     seeds = [int(s) for s in seeds]
-    out = np.empty((len(seeds), dim))
-    total = len(seeds) * ((dim + 1) // 2)
+    pairs = (dim + 1) // 2
+    out = np.empty((len(seeds), 2 * pairs))
+    total = len(seeds) * pairs
     starts = iter(range(0, total, _CHUNK_PAIRS))
     taking = threading.Lock()
 
@@ -214,18 +205,17 @@ def gaussian_rows(seeds, dim: int) -> np.ndarray:
         for helper in helpers:
             if not helper.cancel():  # one not yet started has nothing left to take
                 helper.result()
-    return out
+    return out if dim % 2 == 0 else np.ascontiguousarray(out[:, :dim])
 
 
 def gaussian_vector(seed: int, dim: int) -> np.ndarray:
-    """Standard normal vector of length dim, a pure function of (seed, dim).
-
-    Box-Muller over 53-bit uniforms: u1 in (0, 1] (shifted to keep log finite),
-    u2 in [0, 1). Pairs are written interleaved so that the first k entries of
-    gaussian_vector(s, n) and gaussian_vector(s, k) agree for even k. The
-    one-row case of gaussian_rows: a long vector is drawn on up to as many
-    threads as the process has CPUs, and its bits do not depend on that count.
-    """
+    """Standard normal vector of length dim, a pure function of (seed, dim),
+    and the one-row case of gaussian_rows. Box-Muller over 53-bit uniforms,
+    u1 in (0, 1] (shifted to keep log finite) and u2 in [0, 1), with pairs
+    interleaved, so the first k entries of gaussian_vector(s, n) and
+    gaussian_vector(s, k) agree for even k. A long vector is drawn on up to
+    as many threads as the process has CPUs; its bits do not depend on that
+    count."""
     return gaussian_rows((seed,), dim)[0]
 
 

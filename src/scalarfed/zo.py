@@ -11,7 +11,9 @@ g alone. With a diagonal curvature estimate H, directions are drawn as
 z = H^(-1/2) u with u standard normal, which makes the expected step a
 Newton-style preconditioned gradient H^(-1) grad f(x) (up to O(mu)). The
 simulator's estimator is fedsim.client_local_update; this module holds the
-direction and step helpers that every party shares.
+direction and step helpers that every party shares. A step's P directions
+are one (P, d) row block, preconditioned in one multiply and folded through
+fold_mean, the one helper every mean goes through.
 """
 
 import numpy as np
@@ -20,25 +22,35 @@ from .errors import InvalidDimensionError
 
 
 def scale_direction(u: np.ndarray, inv_sqrt_diag: np.ndarray, out=None) -> np.ndarray:
-    """Elementwise u / sqrt(H), into `out` if given. Single shared expression:
-    every code path that turns a raw normal vector into a preconditioned
-    direction must produce bitwise-identical floats, or ledger replay breaks."""
+    """Elementwise u / sqrt(H) of a vector or a (P, d) row block, into `out`
+    if given. Single shared expression: every path from raw normals to
+    preconditioned directions must give the same bits, or ledger replay breaks."""
     return np.multiply(u, inv_sqrt_diag, out=out)
 
 
-def multi_perturbation_delta(scalars, directions, out=None, work=None) -> np.ndarray:
-    """Mean of P rank-one steps, accumulated in ascending perturbation order.
+def fold_mean(stack, out=None) -> np.ndarray:
+    """Mean over the first axis of `stack`, into `out` if given, as one
+    ascending fold: acc = stack[0], acc += stack[i] for i = 1, 2, ..., acc /= n.
+    Every mean of the protocol goes through it, so that every party adds in
+    one order. numpy's axis-0 reduce is no substitute: it sums pairwise where
+    the trailing axes have size 1."""
+    out = np.positive(stack[0], out=out, dtype=np.float64)  # acc = stack[0], copied
+    for row in stack[1:]:
+        out += row
+    out /= len(stack)
+    return out
 
-    The fixed accumulation order is part of the wire contract: server and
-    rebuilding clients must fold identically for bit-reproducibility. P = 1
-    reduces exactly to the rank-one step g * z (the final /1.0 is lossless).
-    Given `out` and a scratch `work`, it allocates nothing.
-    """
-    if len(scalars) == 0 or len(scalars) != len(directions):
+
+def multi_perturbation_delta(scalars, directions, out=None, work=None) -> np.ndarray:
+    """Mean of the P rank-one steps g_p * z_p of a (P, d) direction block: one
+    broadcast multiply, then fold_mean in ascending perturbation order. P = 1
+    is exactly the step g * z (the final /1.0 is lossless). Given `out` and a
+    (P, d) scratch `work`, which may be `directions` itself, it allocates
+    nothing."""
+    scalars = np.asarray(scalars)
+    if scalars.size == 0 or scalars.shape != (len(directions),):
         raise InvalidDimensionError(
-            f"need equal, nonzero arity, got {len(scalars)} scalars and {len(directions)} directions"
+            f"need equal, nonzero arity, got {scalars.size} scalars and {len(directions)} directions"
         )
-    acc = np.multiply(scalars[0], directions[0], out=out, dtype=np.float64)
-    for p in range(1, len(scalars)):
-        acc += np.multiply(scalars[p], directions[p], out=work)
-    return np.divide(acc, len(scalars), out=acc)
+    steps = np.multiply(scalars[:, None], directions, out=work, dtype=np.float64)
+    return fold_mean(steps, out=out)

@@ -388,6 +388,7 @@ def test_estimator_failure_carries_coordinates():
     ("nu", 2.0), ("nu", -0.1), ("epsilon", 0.0), ("beta_lower", 5.0),
     ("beta_lower", 0.0), ("beta_upper", 0.5), ("eta", np.inf), ("eta", np.nan),
     ("mu", 0.0), ("mu", np.inf), ("root_seed", -1), ("root_seed", 2**64), ("sampling_seed", -1),
+    ("epsilon", np.inf), ("beta_upper", np.inf),
 ])
 def test_config_rejects_curvature_step_and_seed_fields(field, value):
     with pytest.raises(ConfigError) as err:

@@ -239,6 +239,26 @@ def test_cli_account_and_verify(tmp_path, capsys):
     assert rep["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "SPEC"], ["sweep", "SPEC"], ["account", "--rounds", "3"],
+    ["verify-lemmas", "--samples", "10"], ["verify-equivalence", "--fuzz", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_output_exits_2_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    for entry in ("run_spec", "sweep", "account", "verify_lemmas", "verify_equivalence"):
+        monkeypatch.setattr(harness, entry, lambda *a, **k: pytest.fail("the work began"))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(quad_spec(R=3)))
+    argv = [str(spec_path) if arg == "SPEC" else arg for arg in argv]
+    (tmp_path / "file").write_text("")
+    # `run` makes its output directory, so only a path under a file defeats it
+    outputs = [tmp_path / "file" / "out"]
+    if argv[0] != "run":
+        outputs += [tmp_path / "missing" / "out.json", tmp_path]
+    for output in outputs:
+        assert main([*argv, "-o", str(output)]) == 2
+        assert "(field: output)" in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(quad_spec(R=3)))
@@ -315,13 +335,21 @@ def test_account_rejects_zero_dim():
     (["run", "{negative_samples}"], "n_samples"),
     (["run", "{keep_models}"], "keep_models"),
     (["run", "{dump_string}"], "dump_hessian"),
+    (["run", "{x0_nan}"], "x0_scale"),
+    (["run", "{offset_inf}"], "offset_scale"),
+    (["run", "{shift_minus_inf}"], "shift"),
+    (["run", "{variance_inf}"], "spectrum_variance"),
+    (["run", "{separation_nan}"], "separation"),
+    (["run", "{l2_minus_inf}"], "l2"),
 ], ids=["account-m-0", "account-tau-0", "account-P-negative", "account-bytes-negative",
         "run-bytes-negative", "lemmas-samples-0", "lemmas-dim-0", "run-missing-spec",
         "run-malformed-spec", "sweep-missing-spec", "sweep-malformed-spec",
         "sweep-bad-list", "task-dim-string", "task-clients-float", "task-unknown-key",
         "task-missing-seed", "task-x0-mode", "task-kind-list", "logistic-batch-0",
         "task-dim-0", "task-variance-0", "logistic-samples-negative",
-        "spec-keep-models", "spec-dump-string"])
+        "spec-keep-models", "spec-dump-string", "task-x0-nan", "task-offset-inf",
+        "task-shift-minus-inf", "task-variance-inf", "logistic-separation-nan",
+        "logistic-l2-minus-inf"])
 def test_cli_bad_input_exits_2_naming_field(tmp_path, capsys, argv, field):
     no_seed = quad_spec()
     del no_seed["task"]["seed"]
@@ -333,7 +361,14 @@ def test_cli_bad_input_exits_2_naming_field(tmp_path, capsys, argv, field):
              "zero_variance": with_task(spectrum_variance=0.0),
              "negative_samples": logistic_spec(n_samples=-1),
              "keep_models": dict(quad_spec(), keep_models=False),
-             "dump_string": dict(quad_spec(), dump_hessian="yes")}
+             "dump_string": dict(quad_spec(), dump_hessian="yes"),
+             # json writes these as NaN and Infinity, which its reader accepts
+             "x0_nan": with_task(x0_scale=float("nan")),
+             "offset_inf": with_task(offset_scale=float("inf")),
+             "shift_minus_inf": with_task(shift=float("-inf")),
+             "variance_inf": with_task(spectrum_variance=float("inf")),
+             "separation_nan": logistic_spec(separation=float("nan")),
+             "l2_minus_inf": logistic_spec(l2=float("-inf"))}
     paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "bad.json"}
     for name, spec in specs.items():
         paths[name] = tmp_path / f"{name}.json"

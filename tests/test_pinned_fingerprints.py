@@ -78,3 +78,13 @@ def test_federations_in_one_process_are_independent_of_order(workload, tmp_path)
             assert report["traced"]["failures"] == []
     forward, backward = ({r["index"]: r["fingerprint"] for r in reports} for reports in runs)
     assert forward == backward and len(forward) == 3
+
+
+def test_benchmark_smoke_run_completes():
+    # the benchmark's own command, as BENCHMARK.json declares it, at smoke size
+    root = os.path.dirname(BENCH)
+    proc = subprocess.run([sys.executable, os.path.join("bench", "run.py"), "--workload", "all",
+                           "--smoke"], cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["correct"] is True and line["failed"] == 0

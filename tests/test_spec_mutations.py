@@ -1,12 +1,14 @@
 """Property: a valid run spec with any one task, round or cost field set to a
 small value of any JSON type either runs (exit 0), exits 2 naming a field, or
 exits 3 on an estimator failure; `scalarfed run` never raises. A value of the
-wrong type is named by exactly the spec field it was put in.
+wrong type, or a NaN or infinity in any field, is named by exactly the spec
+field it was put in.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -39,6 +41,7 @@ STRING = {"algorithm"}
 VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(-2, 3), max_size=2),
     st.floats(-2, 64).filter(lambda v: not v.is_integer()), st.integers(-2, 64),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 
 
@@ -50,6 +53,10 @@ def mistyped(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
     return key in INTEGER and isinstance(value, float)
+
+
+def nonfinite(value):
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 @st.composite
@@ -81,5 +88,5 @@ def test_any_one_field_mutation_runs_or_names_a_field(mutation):
         assert "estimator failure" in message
     if key == "kind":
         assert code == 2 and "(field: task.kind)" in message
-    elif mistyped(key, spec[section][key]):
+    elif mistyped(key, spec[section][key]) or nonfinite(spec[section][key]):
         assert code == 2 and f"(field: {key})" in message, message

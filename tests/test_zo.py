@@ -4,7 +4,9 @@ import pytest
 from scalarfed import (ClientState, DiagHessian, RoundConfig, client_local_update,
                        gaussian_vector, inv_sqrt, multi_perturbation_delta, scale_direction)
 from scalarfed.errors import CurvatureError, EstimatorFailureError, InvalidDimensionError
+from scalarfed.fedsim import aggregate_scalars
 from scalarfed.rng import mix
+from scalarfed.zo import fold_mean
 
 
 class StubTask:
@@ -71,6 +73,19 @@ def test_rge_nonfinite_loss_reported():
     with pytest.raises(EstimatorFailureError) as err:
         estimate(loss, np.zeros(2), np.ones(2), 0.1)
     assert err.value.which == "perturbed"
+
+
+def test_rge_failure_names_the_first_nonfinite_perturbation():
+    # the base and perturbation 0 are finite, perturbations 1 and 2 are not
+    calls = []
+
+    def loss(x, b):
+        calls.append(x)
+        return np.inf if len(calls) > 2 else 1.0
+
+    with pytest.raises(EstimatorFailureError) as err:
+        estimate(loss, np.zeros(2), np.ones(2), 0.1, P=3)
+    assert err.value.which == "perturbed" and err.value.coords == (0, 0, 1)
 
 
 def test_rge_same_batch_for_both_evaluations():
@@ -202,3 +217,47 @@ def test_multi_perturbation_variance_scaling():
     v2 = delta_first_var(2, 10**4, 501)
     v8 = delta_first_var(8, 10**4, 502)
     assert v8 <= 0.25 * v2 * 1.3
+
+
+def sequential_mean(stack):
+    """The ascending fold written out of place: ((s0 + s1) + s2) + ... then / n."""
+    acc = stack[0]
+    for row in stack[1:]:
+        acc = acc + row
+    return acc / len(stack)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# numpy's axis-0 reduce sums pairwise where the trailing axes have size 1, so
+# the first three shapes tell an ascending fold from it; the others are the
+# shapes a round's blocks take
+FOLD_SHAPES = [(8, 1), (16, 1, 1), (256, 1, 1), (5, 200), (256, 5), (8, 100000)]
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("trial", range(4))
+def test_every_mean_is_the_ascending_fold(shape, trial):
+    gen = np.random.default_rng([sum(shape), trial])
+    # magnitudes over six decades, so that another order of the adds mostly rounds differently
+    stack = gen.standard_normal(shape) * 10.0 ** gen.uniform(-3, 3, shape)
+    want = sequential_mean(stack)
+    assert same_bits(fold_mean(stack), want)
+    out = np.empty(shape[1:])
+    assert fold_mean(stack, out=out) is out and same_bits(out, want)
+    assert same_bits(fold_mean(list(stack)), want)
+
+    block = stack.reshape(shape[0], -1)  # (P, d) directions
+    scalars = gen.standard_normal(shape[0])
+    want = sequential_mean([g * z for g, z in zip(scalars, block)])
+    assert same_bits(multi_perturbation_delta(scalars, block), want)
+    out, work = np.empty(block.shape[1]), np.empty_like(block)
+    assert multi_perturbation_delta(scalars, block, out=out, work=work) is out
+    assert same_bits(out, want)
+    steps = block.copy()  # the scratch may be the block itself
+    assert same_bits(multi_perturbation_delta(scalars, steps, work=steps), want)
+
+    matrices = list(stack.reshape(shape[0], -1, shape[-1]))  # m clients' (tau, P) scalars
+    assert same_bits(aggregate_scalars(matrices), sequential_mean(matrices))
