@@ -6,7 +6,9 @@
    curvature information and what powers every variance bound.
 2. Unbiasedness: the forward-difference estimator's mean is the gradient of
    the Gaussian-smoothed objective; on a quadratic the smoothing bias
-   vanishes exactly, so the Monte Carlo mean must hit the true gradient.
+   vanishes exactly. Along directions z = H^(-1/2) u the simulator's own
+   estimator (client_local_update, 1e5 perturbations in one step) must hit
+   the preconditioned gradient H^-1 grad f.
 
 Run it yourself; re-running with the same seed reproduces every number.
 """

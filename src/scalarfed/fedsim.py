@@ -335,15 +335,17 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     every round after the first, rebuilds over the one ledger round it
     missed; its arrays are then frozen (rebuild copies before it advances).
     Rebuild closure makes it the state that any absent client would rebuild,
-    so every sampled client is handed the shadow under its own id: each
-    round is replayed once, however many clients return to it, and no server
-    vector reaches a client. Clients are sampled round by round and every
-    reader asks for directions in ascending rounds, so the provider's
+    so every sampled client is handed the shadow under its own id: the
+    shadow rebuilds each round once, however many clients return to it, the
+    server's aggregation replays it once more on its own arrays, and no
+    server vector reaches a client. Clients are sampled round by round and
+    every reader asks for directions in ascending rounds, so the provider's
     one-round cache generates each direction once, and memory does not grow
     with R. Missed rounds, and so the meter and staleness, count from the
     ledger's last participation. Where the task's optional
     `curvature_truth()` returns (Sigma, L), each record carries the
-    diagnostics.
+    diagnostics. A round whose new server model has a non-finite global loss
+    raises EstimatorFailureError (which="global") before it is recorded.
     """
     check_range("transport", transport, transport in ("replay", "direct", "natural"),
                 "replay, direct or natural")
@@ -398,8 +400,10 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         )
         if keep_models:
             models.append(model.copy())
-        trace.append(
-            _trace_record(r, task.global_loss(model), server.meter, prev_meter,
-                          hessian, evals, missed_counts, started, truth)
-        )
+        loss = task.global_loss(model)
+        if not np.isfinite(loss):
+            raise EstimatorFailureError(f"global loss diverged at round {r}",
+                                        which="global", coords=(r, None, None))
+        trace.append(_trace_record(r, loss, server.meter, prev_meter, hessian, evals,
+                                   missed_counts, started, truth))
     return RunResult(trace=trace, server=server, models=models)

@@ -14,12 +14,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import rng
-from .curvature import fourth_moment_weighted
+from .curvature import DiagHessian, fourth_moment_weighted, inv_sqrt
 from .errors import ConfigError, check_range, check_type
-from .fedsim import SPEC_NAMES, RoundConfig, run_training
+from .fedsim import (SPEC_NAMES, ClientState, DirectionProvider, RoundConfig,
+                     client_local_update, run_training)
 from .ledger import (CommMeter, WireCostModel, format_bytes, full_vector_bytes,
                      meter_round, per_client_scalar_bytes)
 from .tasks import LogisticTask, QuadraticTask
+from .zo import multi_perturbation_delta, scale_direction
 
 
 # --- run specs ----------------------------------------------------------------
@@ -173,16 +175,18 @@ def _empirical_fourth_moment(lam: np.ndarray, W: np.ndarray, n: int, seed: int) 
     return (Z * q[:, None]).T @ Z / n
 
 
-def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0,
-                  pairs: int = 5) -> VerificationReport:
-    """Monte Carlo checks of the two Gaussian identities the analysis rests on.
+_MOMENT_PAIRS = 5  # random (Lambda, W) pairs of check (a)
+
+
+def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0) -> VerificationReport:
+    """Monte Carlo checks of the identities the analysis rests on.
 
     (a) fourth moment, weighted: E[z z^T W z z^T] = Tr(W L) L + 2 L W L for
         z ~ N(0, L), diagonal L, symmetric W -- entrywise 3% at 1e6 draws;
     (b) the standard-normal specialization Tr(W) I + 2W;
-    (c) forward-difference unbiasedness: on a quadratic the estimator's mean
-        equals the true gradient exactly (odd moments vanish), tested to
-        three standard errors per coordinate.
+    (c) Hessian-informed unbiasedness of the simulator's estimator,
+        client_local_update: on a quadratic its mean step equals H^-1 grad f
+        exactly (odd moments vanish), to three standard errors per coordinate.
     """
     check_range("dim", dim, 1 <= dim <= 6, "in [1, 6] for the fourth-moment checks")
     check_range("samples", samples, samples >= 1, ">= 1")
@@ -191,7 +195,7 @@ def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0,
     # gate scales as 1/sqrt(N) when run with a different budget
     tol = 0.03 * float(np.sqrt(10**6 / samples))
 
-    for i in range(pairs):
+    for i in range(_MOMENT_PAIRS):
         t0 = time.perf_counter()
         lam, W = _random_moment_pair(rng.mix(seed, 10, i), dim)
         target = fourth_moment_weighted(lam, W)
@@ -218,22 +222,25 @@ def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0,
     report.add("fourth-moment closed-form hand cases", bool(ok_hand),
                0.0, 0.0, 0, time.perf_counter() - t0)
 
-    # (c) estimator mean on a quadratic: A = diag(1, 3), x = (1, 1), grad (1, 3).
+    # (c) the library's estimator: one client, one step of n perturbations
     t0 = time.perf_counter()
-    n = 10**5
-    a = np.array([1.0, 3.0])
-    x = np.array([1.0, 1.0])
-    mu = 1e-5
-    U = rng.gaussian_vector(rng.mix(seed, 14), n * 2).reshape(n, 2)
-    f0 = 0.5 * float(a @ (x * x))
-    fp = 0.5 * ((x + mu * U) ** 2 @ a)
-    g = (fp - f0) / mu
-    est_grad = (U * g[:, None]).mean(axis=0)
-    se = (U * g[:, None]).std(axis=0) / np.sqrt(n)
-    dev = float(np.max(np.abs(est_grad - a * x) / (3.0 * se)))
-    report.add("forward-difference unbiasedness (quadratic)", dev <= 1.0, dev,
-               1.0, n, time.perf_counter() - t0,
-               detail=f"mean={est_grad.round(4).tolist()} target={ (a*x).tolist() }")
+    d, n, mu = 10, 10**5, 1e-5
+    H = DiagHessian(diag=np.exp(rng.gaussian_vector(rng.mix(seed, 15), d)))
+    a = np.exp(rng.gaussian_vector(rng.mix(seed, 16), d))  # quadratic curvatures
+    x = rng.gaussian_vector(rng.mix(seed, 17), d)
+    task = QuadraticTask(spectrum=a, centers=np.zeros((1, d)), x0=x)
+    config = RoundConfig(num_clients=1, sampled_per_round=1, rounds=1, eta=1.0,
+                         perturbations=n, mu=mu, root_seed=rng.mix(seed, 14))
+    provider = DirectionProvider(config.schedule(), d)
+    scalars = client_local_update(ClientState(id=0, model=x, hessian=H), 0, config,
+                                  task, provider)[0]
+    zs = scale_direction(provider.block(0, (1, n))[0], inv_sqrt(H))
+    target = a * x / H.diag  # the preconditioned gradient
+    se = (scalars[:, None] * zs).std(axis=0) / np.sqrt(n)
+    mean = multi_perturbation_delta(scalars, zs)
+    dev = float(np.max(np.abs(mean - target) / (3.0 * se)))
+    report.add("forward-difference unbiasedness (Hessian-informed quadratic)", dev <= 1.0,
+               dev, 1.0, n, time.perf_counter() - t0, detail="in units of 3 standard errors")
     return report
 
 

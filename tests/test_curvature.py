@@ -121,18 +121,6 @@ def test_fourth_moment_closed_form_hand_cases():
     assert np.allclose(got, np.diag([6.0, 8.0]), rtol=0, atol=0)
 
 
-def test_fourth_moment_monte_carlo_small():
-    # reduced-sample version of the harness check (module-level smoke)
-    lam = np.array([1.0, 4.0])
-    W = np.array([[2.0, 0.5], [0.5, 1.0]])
-    target = fourth_moment_weighted(lam, W)
-    n = 200000
-    Z = gaussian_vector(mix(31, 0), n * 2).reshape(n, 2) * np.sqrt(lam)
-    q = np.einsum("ni,ij,nj->n", Z, W, Z)
-    est = (Z * q[:, None]).T @ Z / n
-    assert np.max(np.abs(est - target) / np.abs(target)) <= 0.05
-
-
 def test_variance_table_contracts():
     # E||u||_Sigma^2 = Tr(Sigma) = L*kappa; E||z||_Sigma^2 = zeta for z ~ N(0, H^-1)
     sigma = np.array([5.0, 1.0, 0.5, 0.1])

@@ -384,6 +384,30 @@ def test_estimator_failure_carries_coordinates():
     assert err.value.coords == (0, 0, 0)
 
 
+class GlobalLossDivergesAt:
+    """`task` with a global loss that reads inf from round `at` on."""
+
+    def __init__(self, task, at):
+        self.task, self.at, self.calls = task, at, 0
+
+    def __getattr__(self, name):
+        return getattr(self.task, name)
+
+    def global_loss(self, x):
+        self.calls += 1
+        return np.inf if self.calls > self.at else self.task.global_loss(x)
+
+
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+def test_nonfinite_global_loss_fails_its_round(transport):
+    # the last round diverges: the run must fail there, not finish with an inf loss
+    with pytest.raises(EstimatorFailureError) as err:
+        run_training(small_config(rounds=6), GlobalLossDivergesAt(small_task(), at=5),
+                     transport=transport)
+    assert err.value.which == "global" and err.value.coords == (5, None, None)
+    assert err.value.client is None
+
+
 @pytest.mark.parametrize("field, value", [
     ("nu", 2.0), ("nu", -0.1), ("epsilon", 0.0), ("beta_lower", 5.0),
     ("beta_lower", 0.0), ("beta_upper", 0.5), ("eta", np.inf), ("eta", np.nan),

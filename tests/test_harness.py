@@ -8,6 +8,7 @@ from scalarfed import harness
 from scalarfed.cli import main
 from scalarfed.errors import ConfigError
 from scalarfed.rng import SeedSchedule
+from scalarfed.tasks import QuadraticTask
 
 
 def quad_spec(**round_over):
@@ -215,12 +216,23 @@ def test_cli_verify_equivalence_refuses_zero_fuzz(capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_estimator_failure_names_client(tmp_path, capsys):
-    # the first step throws the model so far that every client's loss overflows
+    # a perturbation this long overflows every client's perturbed loss in round 0
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(quad_spec(eta=1e300)))
+    spec_path.write_text(json.dumps(quad_spec(mu=1e300)))
     assert main(["run", str(spec_path)]) == 3
     err = capsys.readouterr().err
     assert "estimator failure" in err and "on client " in err
+
+
+def test_cli_run_whose_last_round_diverges_exits_3_without_a_trace(tmp_path, capsys,
+                                                                    monkeypatch):
+    # a real overflow warns first (an error under this suite's filters), so stub the loss
+    monkeypatch.setattr(QuadraticTask, "global_loss", lambda self, x: np.inf)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(quad_spec(R=1)))
+    assert main(["run", str(spec_path), "-o", str(tmp_path / "out")]) == 3
+    assert "global loss diverged at round 0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "trace.jsonl")
 
 
 def test_cli_account_and_verify(tmp_path, capsys):
