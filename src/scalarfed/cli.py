@@ -169,10 +169,8 @@ def main(argv=None) -> int:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"invalid spec: {exc}{field}", file=sys.stderr)
         return EXIT_CONFIG
-    except EstimatorFailureError as exc:
-        coords = f" at (round, step, perturbation)={exc.coords}" if exc.coords else ""
-        client = f" on client {exc.client}" if exc.client is not None else ""
-        print(f"estimator failure: {exc}{client}{coords}", file=sys.stderr)
+    except EstimatorFailureError as exc:  # its text names the client and the round
+        print(f"estimator failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ScalarFedError as exc:
         print(f"error: {exc}", file=sys.stderr)

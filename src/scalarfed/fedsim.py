@@ -345,7 +345,9 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     ledger's last participation. Where the task's optional
     `curvature_truth()` returns (Sigma, L), each record carries the
     diagnostics. A round whose new server model has a non-finite global loss
-    raises EstimatorFailureError (which="global") before it is recorded.
+    raises EstimatorFailureError (which="global") before its trace record.
+    The loop ignores numpy's overflow and invalid warnings, so an overflowing
+    loss always fails as EstimatorFailureError, even under `python -W error`.
     """
     check_range("transport", transport, transport in ("replay", "direct", "natural"),
                 "replay, direct or natural")
@@ -369,41 +371,42 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     models = [] if keep_models else None
     evals = 0
     started = time.perf_counter()
-    for r in range(config.rounds):
-        sampled = [int(c) for c in sample_clients(config.num_clients, config.sampled_per_round,
-                                                   r, config.sampling_seed)]
-        if transport != "replay":  # the oracles hand the server state over by value
-            shadow = ClientState(id=-1, model=server.model, hessian=server.hessian)
-        elif r:
-            shadow = client_rebuild(shadow, fetch_since(server.ledger, shadow.last_round),
-                                    config.eta, provider)
-            for array in (shadow.model, shadow.hessian.diag):
-                array.setflags(write=False)
-        missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
-        matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider)
-                    for cid in sampled]
-        evals += len(sampled) * config.tau * (config.perturbations + 1)
-        if transport == "natural":
-            log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))
-            model, hessian = _average_deltas(server, matrices, r, config, provider)
-        else:
-            log, model, hessian = server_aggregate(server, matrices, r, config, provider)
-        prev_meter = server.meter
-        server = ServerState(
-            model=model,
-            hessian=hessian,
-            ledger=record_round(server.ledger, log, sampled),
-            meter=meter_round(
-                server.meter, config.sampled_per_round, config.tau,
-                config.perturbations, missed_counts,
-            ),
-        )
-        if keep_models:
-            models.append(model.copy())
-        loss = task.global_loss(model)
-        if not np.isfinite(loss):
-            raise EstimatorFailureError(f"global loss diverged at round {r}",
-                                        which="global", coords=(r, None, None))
-        trace.append(_trace_record(r, loss, server.meter, prev_meter, hessian, evals,
-                                   missed_counts, started, truth))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        for r in range(config.rounds):
+            sampled = [int(c) for c in sample_clients(config.num_clients, config.sampled_per_round,
+                                                       r, config.sampling_seed)]
+            if transport != "replay":  # the oracles hand the server state over by value
+                shadow = ClientState(id=-1, model=server.model, hessian=server.hessian)
+            elif r:
+                shadow = client_rebuild(shadow, fetch_since(server.ledger, shadow.last_round),
+                                        config.eta, provider)
+                for array in (shadow.model, shadow.hessian.diag):
+                    array.setflags(write=False)
+            missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
+            matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider)
+                        for cid in sampled]
+            evals += len(sampled) * config.tau * (config.perturbations + 1)
+            if transport == "natural":
+                log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))
+                model, hessian = _average_deltas(server, matrices, r, config, provider)
+            else:
+                log, model, hessian = server_aggregate(server, matrices, r, config, provider)
+            prev_meter = server.meter
+            server = ServerState(
+                model=model,
+                hessian=hessian,
+                ledger=record_round(server.ledger, log, sampled),  # appends in place
+                meter=meter_round(
+                    server.meter, config.sampled_per_round, config.tau,
+                    config.perturbations, missed_counts,
+                ),
+            )
+            if keep_models:
+                models.append(model.copy())
+            loss = task.global_loss(model)
+            if not np.isfinite(loss):
+                raise EstimatorFailureError(f"global loss diverged at round {r}",
+                                            which="global", coords=(r, None, None))
+            trace.append(_trace_record(r, loss, server.meter, prev_meter, hessian, evals,
+                                       missed_counts, started, truth))
     return RunResult(trace=trace, server=server, models=models)

@@ -3,7 +3,8 @@
 A RoundLog is the only thing that ever crosses the client-server boundary:
 one (tau x P) matrix of aggregated gradient scalars per round (seeds are
 derived from the shared root and cost nothing unless configured otherwise).
-The Ledger accumulates logs plus each client's last participation round;
+The Ledger is an append-only record of the logs plus each client's last
+participation round, which the run extends in place, one round at a time;
 together with the root seed it fully determines the server model at any
 round, which the simulator's vector oracle verifies bitwise.
 """
@@ -36,26 +37,23 @@ class RoundLog:
         object.__setattr__(self, "scalars", scalars)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RoundLog)
-            and self.round == other.round
-            and np.array_equal(self.scalars, other.scalars)
-        )
+        return (isinstance(other, RoundLog) and self.round == other.round
+                and np.array_equal(self.scalars, other.scalars))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Ledger:
-    """Gap-free history of round logs plus per-client last participation."""
+    """Gap-free history of round logs plus per-client last participation,
+    appended in place by `record_round` (O(1) per round however long the
+    run); a copy that must not change is kept serialized, not shared."""
 
     num_clients: int
-    logs: tuple = ()
+    logs: list = field(default_factory=list)
     last_participation: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.last_participation:
-            object.__setattr__(
-                self, "last_participation", {i: 0 for i in range(self.num_clients)}
-            )
+            self.last_participation = {i: 0 for i in range(self.num_clients)}
 
     @property
     def current_round(self) -> int:
@@ -63,7 +61,9 @@ class Ledger:
 
 
 def record_round(ledger: Ledger, log: RoundLog, participants) -> Ledger:
-    """Append the next round's log and mark the participants.
+    """Append the next round's log and mark the participants, in place, and
+    return the same ledger. The round index and every participant id are
+    checked first, so a rejected append leaves the ledger as it was.
 
     A client's recorded round means "this client's model equals the global
     model at the START of that round": participating clients reset to their
@@ -71,25 +71,25 @@ def record_round(ledger: Ledger, log: RoundLog, participants) -> Ledger:
     this round inclusive.
     """
     if log.round != ledger.current_round:
-        raise ProtocolOrderError(
-            f"expected round {ledger.current_round}, got {log.round} (no gaps allowed)"
-        )
-    last = dict(ledger.last_participation)
+        raise ProtocolOrderError(f"expected round {ledger.current_round}, got {log.round} "
+                                 "(no gaps allowed)")
+    marks = {}
     for cid in participants:
-        if cid not in last:
+        if cid not in ledger.last_participation:
             raise ProtocolOrderError(f"unknown client id {cid}")
-        last[int(cid)] = log.round
-    return replace(ledger, logs=ledger.logs + (log,), last_participation=last)
+        marks[int(cid)] = log.round
+    ledger.logs.append(log)
+    ledger.last_participation.update(marks)
+    return ledger
 
 
 def fetch_since(ledger: Ledger, r_last: int):
     """All logs with round in [r_last, current), ascending; the replay feed
     for a client whose model state is the global model at round r_last."""
     if not 0 <= r_last <= ledger.current_round:
-        raise LedgerRangeError(
-            f"r_last={r_last} outside [0, current round {ledger.current_round}]"
-        )
-    return list(ledger.logs[r_last:])
+        raise LedgerRangeError(f"r_last={r_last} outside [0, current round "
+                               f"{ledger.current_round}]")
+    return ledger.logs[r_last:]
 
 
 # --- binary serialization ----------------------------------------------------
@@ -98,73 +98,72 @@ def fetch_since(ledger: Ledger, r_last: int):
 # never a partial ledger):
 #   header: magic(4s) version(u16) pad(u16) tau(u16) P(u16) root_seed(u64) M(u32)
 #   participation: M x u64
-#   rounds: count(u64), then per round: round(u64) followed by tau*P f64
-#           scalars. Per-round participants are not stored; participation is
-#           held in the aggregate map above.
+#   rounds: count(u64), then one packed record per round: round(u64) followed
+#           by tau*P f64 scalars. Per-round participants are not stored;
+#           participation is held in the aggregate map above.
 
 _HEADER = struct.Struct("<4sHHHHQI")
 
 
+def _rounds_dtype(tau: int, P: int) -> np.dtype:
+    return np.dtype([("round", "<u8"), ("scalars", "<f8", (tau, P))])
+
+
+def _first(mask) -> int:
+    """Index of the first true entry of `mask`, or -1 if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else -1
+
+
 def serialize(ledger: Ledger, root_seed: int = 0) -> bytes:
     tau, P = ledger.logs[0].scalars.shape if ledger.logs else (0, 0)
-    out = [_HEADER.pack(_MAGIC, _VERSION, 0, tau, P, root_seed, ledger.num_clients)]
-    for i in range(ledger.num_clients):
-        out.append(struct.pack("<Q", ledger.last_participation[i]))
-    out.append(struct.pack("<Q", len(ledger.logs)))
-    for log in ledger.logs:
-        out.append(struct.pack("<Q", log.round))
-        out.append(log.scalars.astype("<f8").tobytes())
-    return b"".join(out)
+    rounds = np.empty(len(ledger.logs), _rounds_dtype(tau, P))
+    rounds["round"] = [log.round for log in ledger.logs]
+    rounds["scalars"] = [log.scalars for log in ledger.logs]
+    participation = [ledger.last_participation[i] for i in range(ledger.num_clients)]
+    return b"".join([_HEADER.pack(_MAGIC, _VERSION, 0, tau, P, root_seed, ledger.num_clients),
+                     np.array(participation, "<u8").tobytes(),
+                     struct.pack("<Q", len(ledger.logs)), rounds.tobytes()])
 
 
 def deserialize(data: bytes) -> Ledger:
-    offset = 0
-
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(data):
-            raise LedgerFormatError(f"truncated stream while reading {what}", offset)
-        chunk = data[offset : offset + n]
-        offset += n
-        return chunk
-
-    magic, version, pad, tau, P, _root, num_clients = _HEADER.unpack(
-        take(_HEADER.size, "header")
-    )
+    if len(data) < _HEADER.size:
+        raise LedgerFormatError("truncated stream while reading header", 0)
+    magic, version, pad, tau, P, _root, num_clients = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise LedgerFormatError(f"bad magic {magic!r}", 0)
     if version != _VERSION:
         raise LedgerFormatError(f"unsupported version {version}", 4)
     if pad != 0:
         raise LedgerFormatError(f"non-zero pad {pad}", 6)
-
-    last = {}
-    for i in range(num_clients):
-        (last[i],) = struct.unpack("<Q", take(8, f"participation[{i}]"))
-    (n_rounds,) = struct.unpack("<Q", take(8, "round count"))
+    rounds_at = _HEADER.size + 8 * num_clients + 8
+    if len(data) < rounds_at:
+        raise LedgerFormatError(f"truncated stream: {len(data)} bytes hold no round count "
+                                f"after {num_clients} participation rounds", _HEADER.size)
+    (n_rounds,) = struct.unpack_from("<Q", data, rounds_at - 8)
     # serialize writes (0, 0) for an empty ledger and the logs' shape otherwise
     if not (tau >= 1 and P >= 1 if n_rounds else tau == P == 0):
         raise LedgerFormatError(f"scalar shape ({tau}, {P}) with {n_rounds} rounds", 8)
-    for i, t in last.items():
-        if t >= max(n_rounds, 1):
-            raise LedgerFormatError(
-                f"client {i} last participated in round {t} of {n_rounds}",
-                _HEADER.size + 8 * i)
-    logs = []
-    for r in range(n_rounds):
-        (round_idx,) = struct.unpack("<Q", take(8, f"round {r} index"))
-        raw = take(tau * P * 8, f"round {r} scalars")
-        scalars = np.frombuffer(raw, dtype="<f8").reshape(tau, P).copy()
-        try:
-            logs.append(RoundLog(round=round_idx, scalars=scalars))
-        except ProtocolOrderError as exc:
-            raise LedgerFormatError(str(exc), offset) from exc
-    if offset != len(data):
-        raise LedgerFormatError("trailing bytes after ledger payload", offset)
-    ledger = Ledger(num_clients=num_clients, logs=tuple(logs), last_participation=last)
-    if [log.round for log in logs] != list(range(n_rounds)):
-        raise LedgerFormatError("round indices are not gap-free", offset)
-    return ledger
+    row = 8 * (1 + tau * P)
+    if len(data) != rounds_at + n_rounds * row:
+        raise LedgerFormatError(f"stream of {len(data)} bytes, where the header and round "
+                                f"count declare {rounds_at + n_rounds * row}", rounds_at)
+    last = np.frombuffer(data, "<u8", num_clients, _HEADER.size)
+    i = _first(last >= max(n_rounds, 1))
+    if i >= 0:
+        raise LedgerFormatError(f"client {i} last participated in round {last[i]} of {n_rounds}",
+                                _HEADER.size + 8 * i)
+    rounds = np.frombuffer(data, _rounds_dtype(tau, P), n_rounds, rounds_at)
+    scalars = rounds["scalars"].astype(np.float64)
+    r = _first(rounds["round"] != np.arange(n_rounds, dtype=np.uint64))
+    if r >= 0:
+        raise LedgerFormatError("round indices are not gap-free", rounds_at + r * row)
+    r = _first(~np.isfinite(scalars).all(axis=(1, 2)))
+    if r >= 0:
+        raise LedgerFormatError(f"round {r} log contains non-finite scalars", rounds_at + r * row)
+    return Ledger(num_clients=num_clients,
+                  logs=[RoundLog(round=r, scalars=s) for r, s in enumerate(scalars)],
+                  last_participation=dict(enumerate(last.tolist())))
 
 
 # --- communication metering ---------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -214,19 +215,35 @@ def test_cli_verify_equivalence_refuses_zero_fuzz(capsys):
     assert "(field: fuzz)" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_cli_estimator_failure_names_client(tmp_path, capsys):
     # a perturbation this long overflows every client's perturbed loss in round 0
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(quad_spec(mu=1e300)))
     assert main(["run", str(spec_path)]) == 3
     err = capsys.readouterr().err
-    assert "estimator failure" in err and "on client " in err
+    # the client and the coordinates, each named once
+    assert re.fullmatch(r"estimator failure: client \d+ perturbed loss diverged "
+                        r"at round 0, step 0, perturbation 0\n", err)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"eta": 1e160}, "global loss diverged at round 0"),
+    ({"mu": 1e300}, "perturbed loss diverged at round 0, step 0, perturbation 0"),
+], ids=["global", "perturbed"])
+def test_cli_real_overflow_exits_3(tmp_path, capsys, over, message):
+    # numpy warns of the overflow first, an error under this suite's filters:
+    # it must still fail as an estimator failure, not escape as a traceback
+    spec = quad_spec(R=1, **over)
+    spec["task"]["dim"] = 20
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", str(spec_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_cli_run_whose_last_round_diverges_exits_3_without_a_trace(tmp_path, capsys,
                                                                     monkeypatch):
-    # a real overflow warns first (an error under this suite's filters), so stub the loss
+    # the stub makes the one round's global loss inf, whatever the model
     monkeypatch.setattr(QuadraticTask, "global_loss", lambda self, x: np.inf)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(quad_spec(R=1)))

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -27,6 +28,25 @@ def test_record_round_gap_rejected():
     led = record_round(Ledger(num_clients=2), make_log(0), [0])
     with pytest.raises(ProtocolOrderError):
         record_round(led, make_log(2), [0])
+    assert led.current_round == 1
+
+
+def test_record_round_appends_in_place():
+    led = Ledger(num_clients=3)
+    logs = led.logs
+    assert record_round(led, make_log(0), [0, 2]) is led
+    assert record_round(led, make_log(1), [1]) is led
+    assert led.logs is logs and led.logs == [make_log(0), make_log(1)]
+    assert led.last_participation == {0: 0, 1: 1, 2: 0}
+
+
+def test_record_round_unknown_client_leaves_the_ledger_as_it_was():
+    # client 0 is known and comes first: it must not be marked either
+    led = record_round(Ledger(num_clients=3), make_log(0), [1])
+    with pytest.raises(ProtocolOrderError):
+        record_round(led, make_log(1), [0, 3])
+    assert led.current_round == 1
+    assert led.last_participation == {0: 0, 1: 0, 2: 0}
 
 
 def test_nonfinite_scalars_rejected():
@@ -98,6 +118,21 @@ def test_serialize_round_trip_bit_exact():
     assert again == led
     for a, b in zip(again.logs, led.logs):
         assert np.array_equal(a.scalars, b.scalars)
+
+
+# SHA-256 of the long ledger below as the per-field struct writer laid it out
+LONG_LEDGER_SHA256 = "fe6f98053f2fa74ce97d92f4dc97a0dc32f23556c27934303b4c201e4ebb9950"
+
+
+def test_long_ledger_bytes_are_pinned():
+    led = Ledger(num_clients=256)
+    for r in range(2000):
+        participants = sorted({int(v % 256) for v in raw_uint64(mix(3, r), 4)})
+        led = record_round(led, make_log(r, tau=2, P=3, seed=7), participants)
+    blob = serialize(led, root_seed=11)
+    assert len(blob) == 24 + 8 * 256 + 8 + 2000 * (8 + 8 * 2 * 3)
+    assert hashlib.sha256(blob).hexdigest() == LONG_LEDGER_SHA256
+    assert deserialize(blob) == led
 
 
 def test_deserialize_truncated_stream_errors_with_offset():
