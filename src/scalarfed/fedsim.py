@@ -31,7 +31,7 @@ from .curvature import (DEFAULT_BETA_LOWER, DEFAULT_BETA_UPPER, DEFAULT_EPSILON,
                         DiagHessian, diagnostics, ema_update, inv_sqrt)
 from .errors import EstimatorFailureError, ProtocolOrderError, check_range, check_type
 from .ledger import CommMeter, Ledger, RoundLog, WireCostModel, fetch_since, meter_round, record_round
-from .rng import SeedSchedule, gaussian_rows, gaussian_vector, sample_without_replacement
+from .rng import SeedSchedule, gaussian_vector, sample_without_replacement, start_rows
 from .zo import fold_mean, multi_perturbation_delta, scale_direction
 
 
@@ -107,12 +107,16 @@ class DirectionProvider:
 
     block(r, (tau, P)) is round r's (tau, P, d) array of directions, a pure
     function of the schedule, so server, clients and oracles may share one
-    provider without coupling. The round is drawn in one gaussian_rows call
-    and held, read-only, until a request for any other round drops it. Every
-    reader (the server, the shadow replica, the local updates, an offline
-    replay) asks for rounds in ascending order, so each direction is
-    generated once and at most one round is held. u(r, k, p) is one row: a
-    row of the held round, or else drawn alone.
+    provider without coupling. A round's seeds come from one array call and
+    its rows from one start_rows draw; the round is then held, read-only.
+    draw_ahead(r, shape) starts round r's draw on the rng helper threads, so
+    that a later block(r, shape) only finishes it. The provider holds one
+    round and has at most one more in flight: block() for the round in
+    flight makes it the held one, and block() for any other round drops
+    both. Every reader (the server, the shadow replica, the local updates,
+    an offline replay) asks for rounds in ascending order and draws ahead
+    only the round it reads next, so each direction is drawn once.
+    u(r, k, p) is one row: a row of the held round, or else drawn alone.
     """
 
     def __init__(self, schedule: SeedSchedule, dim: int):
@@ -120,13 +124,33 @@ class DirectionProvider:
         self.dim = dim
         self._round = None
         self._block = None  # (tau, P, d) directions of round self._round
+        self._ahead = None  # (round, shape, RowDraw) of the round in flight
+
+    def _start(self, r: int, shape: tuple):
+        seeds = self.schedule.perturbation_seeds(r, *shape).reshape(-1)
+        return r, shape, start_rows(seeds, self.dim)
+
+    def draw_ahead(self, r: int, shape) -> None:
+        """Start drawing round r unless it is held or in flight; a round in
+        flight for another round is dropped."""
+        shape = tuple(shape)
+        if (r == self._round and self._block.shape[:2] == shape
+                or self._ahead is not None and self._ahead[:2] == (r, shape)):
+            return
+        if self._ahead is not None:
+            self._ahead[2].cancel()
+        self._ahead = self._start(r, shape)
 
     def block(self, r: int, shape) -> np.ndarray:
-        if r != self._round or self._block.shape[:2] != tuple(shape):
-            seeds = [self.schedule.perturbation_seed(r, k, p)
-                     for k in range(shape[0]) for p in range(shape[1])]
+        shape = tuple(shape)
+        if r != self._round or self._block.shape[:2] != shape:
+            ahead, self._ahead = self._ahead, None
             self._round = self._block = None  # drop the old round before drawing
-            self._block = gaussian_rows(seeds, self.dim).reshape(*shape, self.dim)
+            if ahead is None or ahead[:2] != (r, shape):
+                if ahead is not None:
+                    ahead[2].cancel()
+                ahead = self._start(r, shape)
+            self._block = ahead[2].finish().reshape(*shape, self.dim)
             self._block.setflags(write=False)
             self._round = r
         return self._block
@@ -137,14 +161,34 @@ class DirectionProvider:
         return gaussian_vector(self.schedule.perturbation_seed(r, k, p), self.dim)
 
 
+@dataclass(frozen=True)
+class RoundStart:
+    """Step 0 of one round from one replica (model, hessian): the inverse
+    square-root curvature, the P perturbed points x + mu*z and, for tau > 1,
+    the scaled rows z that step 0's update folds. Read-only, so every client
+    handed the replica shares it."""
+
+    round: int
+    model: np.ndarray
+    hessian: DiagHessian
+    isH: np.ndarray
+    points: np.ndarray
+    zs: np.ndarray = None
+
+    def serves(self, client, r: int) -> bool:
+        return self.round == r and self.model is client.model and self.hessian is client.hessian
+
+
 @dataclass
 class ClientState:
-    """A client's replica: model, curvature estimate, last participation."""
+    """A client's replica: model, curvature estimate, last participation,
+    and optionally the round's step-0 arrays built from that replica."""
 
     id: int
     model: np.ndarray
     hessian: DiagHessian
     last_round: int = 0
+    start: RoundStart = None
 
 
 @dataclass
@@ -174,9 +218,11 @@ def _replay(model, hessian, logs, provider, eta):
     model, diag = model.copy(), hessian.diag.copy()
     isH, delta, work = (np.empty_like(diag) for _ in range(3))
     zs = np.empty((logs[0].scalars.shape[1], diag.size)) if logs else None
-    for log in logs:
+    for i, log in enumerate(logs):
         inv_sqrt(diag, out=isH)
         directions = provider.block(log.round, log.scalars.shape)
+        if i + 1 < len(logs):  # drawn while this round replays
+            provider.draw_ahead(logs[i + 1].round, logs[i + 1].scalars.shape)
         for k, scalars in enumerate(log.scalars):
             scale_direction(directions[k], isH, out=zs)
             multi_perturbation_delta(scalars, zs, out=delta, work=zs)
@@ -198,7 +244,29 @@ def client_rebuild(client: ClientState, missed, eta: float,
             raise ProtocolOrderError(f"rebuild feed has round {log.round}, expected {expected}")
     model, hessian = _replay(client.model, client.hessian, missed, provider, eta)
     return replace(client, model=model, hessian=hessian,
-                   last_round=client.last_round + len(missed))
+                   last_round=client.last_round + len(missed), start=None)
+
+
+def _perturbed(x, zs, mu, out=None) -> np.ndarray:
+    """The (P, d) points x + mu*z of scaled rows zs, into `out` (zs itself
+    may be it): fl(fl(z*mu) + x), the bits of x + mu*z."""
+    points = np.multiply(zs, mu, out=out)
+    points += x
+    return points
+
+
+def round_start(client: ClientState, r: int, config: RoundConfig,
+                provider: DirectionProvider) -> RoundStart:
+    """Round r's step-0 arrays from the client's replica, the same for every
+    client handed it. At tau = 1 the scaled rows become the points in place,
+    as step 0's update is never taken."""
+    isH = inv_sqrt(client.hessian)
+    zs = scale_direction(provider.block(r, (config.tau, config.perturbations))[0], isH)
+    points = _perturbed(client.model, zs, config.mu, out=zs if config.tau == 1 else None)
+    for array in (isH, zs, points):
+        array.setflags(write=False)
+    return RoundStart(r, client.model, client.hessian, isH, points,
+                      zs if config.tau > 1 else None)
 
 
 def client_local_update(client: ClientState, r: int, config: RoundConfig,
@@ -210,13 +278,16 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
     one base evaluation and one batch. The trajectory uses the client's own
     scalars; the model is reset to its round-start value afterwards (the
     caller's ClientState is untouched), so all durable state flows
-    exclusively through the global scalars.
+    exclusively through the global scalars. Step 0 reads the client's
+    `start`, which run_training builds once per round for every client it
+    hands one replica; a client without one for this round and replica
+    builds it through round_start. Steps k >= 1 are the client's own.
     """
-    x = client.model
-    isH = inv_sqrt(client.hessian)
-    mu = config.mu
+    start = client.start
+    if start is None or not start.serves(client, r):
+        start = round_start(client, r, config, provider)
+    x, isH, mu = client.model, start.isH, config.mu
     scalars = np.empty((config.tau, config.perturbations))
-    directions = provider.block(r, scalars.shape)
     for k in range(config.tau):
         batch = task.draw_batch(client.id, r, k, provider.schedule)
         base = task.client_loss(client.id, x, batch)
@@ -225,8 +296,12 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                 f"client {client.id} base loss diverged at round {r}, step {k}",
                 which="base", coords=(r, k, None), client=client.id,
             )
-        zs = scale_direction(directions[k], isH)
-        losses = np.array([task.client_loss(client.id, x + mu * z, batch) for z in zs])
+        if k:
+            zs = scale_direction(provider.block(r, scalars.shape)[k], isH)
+            points = _perturbed(x, zs, mu)
+        else:
+            zs, points = start.zs, start.points
+        losses = np.array([task.client_loss(client.id, point, batch) for point in points])
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
             p = int(diverged[0])
@@ -237,7 +312,8 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
             )
         scalars[k] = (losses - base) / mu
         if k + 1 < config.tau:  # the reset discards the model after the last step
-            x = x - config.eta * multi_perturbation_delta(scalars[k], zs, work=zs)
+            # step 0's rows are shared: its fold takes fresh scratch
+            x = x - config.eta * multi_perturbation_delta(scalars[k], zs, work=zs if k else None)
     return scalars
 
 
@@ -339,9 +415,14 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     shadow rebuilds each round once, however many clients return to it, the
     server's aggregation replays it once more on its own arrays, and no
     server vector reaches a client. Clients are sampled round by round and
-    every reader asks for directions in ascending rounds, so the provider's
-    one-round cache generates each direction once, and memory does not grow
-    with R. Missed rounds, and so the meter and staleness, count from the
+    every reader asks for directions in ascending rounds. As soon as round
+    r's block is in hand the provider starts drawing round r + 1 (if r + 1 <
+    R), which the rng helper threads do while round r runs, so each
+    direction is drawn once, at most two rounds are live, and memory does
+    not grow with R. The step-0 arrays are built once per round, by
+    round_start from the shadow (under the oracles, from the server state
+    they hand over), and every sampled client is handed them with the
+    replica. Missed rounds, and so the meter and staleness, count from the
     ledger's last participation. Where the task's optional
     `curvature_truth()` returns (Sigma, L), each record carries the
     diagnostics. A round whose new server model has a non-finite global loss
@@ -370,6 +451,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     trace = []
     models = [] if keep_models else None
     evals = 0
+    shape = (config.tau, config.perturbations)
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
         for r in range(config.rounds):
@@ -382,9 +464,14 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
                                         config.eta, provider)
                 for array in (shadow.model, shadow.hessian.diag):
                     array.setflags(write=False)
+            provider.block(r, shape)  # round r in hand: draw round r + 1 behind this one
+            if r + 1 < config.rounds:
+                provider.draw_ahead(r + 1, shape)
+            start = round_start(shadow, r, config, provider)  # step 0, once for all clients
             missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
-            matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider)
-                        for cid in sampled]
+            matrices = [client_local_update(replace(shadow, id=cid, start=start), r, config,
+                                            task, provider) for cid in sampled]
+            del start  # its (P, d) points are not kept through the aggregation
             evals += len(sampled) * config.tau * (config.perturbations + 1)
             if transport == "natural":
                 log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))

@@ -9,7 +9,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _TASK_BUILDERS = (("quadratic", QuadraticTask.build), ("logistic", LogisticTask.
 # run-spec name -> RoundConfig attribute; cost_model is built from the bytes_per_* keys
 _ROUND_FIELDS = {SPEC_NAMES.get(f.name, f.name): f.name for f in fields(RoundConfig)
                  if f.name != "cost_model"}
+_REQUIRED_ROUND_FIELDS = [SPEC_NAMES.get(f.name, f.name) for f in fields(RoundConfig)
+                          if f.default is MISSING and f.default_factory is MISSING]
 
 
 def _check_section(spec: dict, annotations: dict, defaults: dict, section: str):
@@ -64,6 +66,9 @@ def build_round_config(round_spec: dict) -> RoundConfig:
         if key not in _ROUND_FIELDS:
             raise ConfigError(f"unknown round field {key!r}", field=key)
         kwargs[_ROUND_FIELDS[key]] = value
+    for key in _REQUIRED_ROUND_FIELDS:
+        if key not in spec:
+            raise ConfigError(f"round needs {key!r}", field=key)
     return RoundConfig(**kwargs)
 
 

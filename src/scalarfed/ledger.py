@@ -62,8 +62,9 @@ class Ledger:
 
 def record_round(ledger: Ledger, log: RoundLog, participants) -> Ledger:
     """Append the next round's log and mark the participants, in place, and
-    return the same ledger. The round index and every participant id are
-    checked first, so a rejected append leaves the ledger as it was.
+    return the same ledger. The round index, the (tau, P) shape, which must
+    be that of the earlier rounds, and every participant id are checked
+    first, so a rejected append leaves the ledger as it was.
 
     A client's recorded round means "this client's model equals the global
     model at the START of that round": participating clients reset to their
@@ -73,6 +74,9 @@ def record_round(ledger: Ledger, log: RoundLog, participants) -> Ledger:
     if log.round != ledger.current_round:
         raise ProtocolOrderError(f"expected round {ledger.current_round}, got {log.round} "
                                  "(no gaps allowed)")
+    if ledger.logs and log.scalars.shape != ledger.logs[0].scalars.shape:
+        raise ProtocolOrderError(f"round {log.round} scalars have shape {log.scalars.shape}, "
+                                 f"earlier rounds {ledger.logs[0].scalars.shape}")
     marks = {}
     for cid in participants:
         if cid not in ledger.last_participation:

@@ -8,16 +8,20 @@ process, forever. Two fixed, documented primitives guarantee that:
 * the bit source is Philox-4x64-10 keyed directly by the seed (a published
   counter-based generator: stateless, splittable, and replayable out of order,
   which is what ledger replay of arbitrary historical rounds requires);
-* standard normals come from an explicit Box-Muller transform of 53-bit
-  uniforms taken from the raw counter stream, never from a library's normal
-  sampler whose internals may drift between releases.
+* standard normals come from an explicit Box-Muller transform of the 53-bit
+  uniforms (word >> 11) * 2**-53 of the raw counter stream, never from a
+  library's normal sampler whose internals may drift between releases. The
+  uniforms are the bit generator's own exact word-to-double step, which
+  numpy's Generator.random writes in place; the tests pin them to the words.
 
 Philox being counter-based, any stretch of a stream can be drawn on its own,
 so a block of Gaussian rows is drawn in chunks on up to as many threads as
 the process has CPUs to run on; the chunking and the thread count move no
-bit. The block is laid out as whole pairs: columns 2j and 2j + 1 of a row
-are the cosine and sine of its pair j, in a buffer padded to an even width,
-so every chunk is one contiguous write.
+bit. A draw is split in two: start_rows hands the chunks to the helper
+threads, and finish has the caller take what is left, so a block can be
+drawn while the caller does other work. The block is laid out as whole
+pairs: columns 2j and 2j + 1 of a row are the cosine and sine of its pair j,
+in a buffer padded to an even width, so every chunk is one contiguous write.
 
 Seeds for the (round, step, perturbation) grid and for the independent client
 sampling / batch streams are derived from a shared root via splitmix64
@@ -41,12 +45,28 @@ DOMAIN_BATCH = 0x165667B19E3779F9
 DOMAIN_TASK = 0x27D4EB2F165667C5
 
 
+# splitmix64's constants and shifts as uint64 scalars, for the array path
+_SPLITMIX_U64 = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                              0x94D049BB133111EB, 30, 27, 31))
+_ONE_U64 = np.uint64(1)
+
+
 def splitmix64(x):
     """One splitmix64 finalizer step (bijective on 64-bit integers).
 
     Takes a Python int or a uint64 array (array arithmetic wraps, which is
-    the masking); never a numpy scalar, whose overflow warns.
+    the masking, so an array is stepped in place on one copy); never a numpy
+    scalar, whose overflow warns.
     """
+    if isinstance(x, np.ndarray):
+        add, mul1, mul2, s30, s27, s31 = _SPLITMIX_U64
+        x = x + add
+        x ^= x >> s30
+        x *= mul1
+        x ^= x >> s27
+        x *= mul2
+        x ^= x >> s31
+        return x
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -63,7 +83,8 @@ def mix(*parts):
     """
     h = 0
     for p in parts:
-        h = splitmix64(h ^ ((p + 1) & _MASK64))
+        p = p + _ONE_U64 if isinstance(p, np.ndarray) else (p + 1) & _MASK64
+        h = splitmix64(h ^ p)
     return h
 
 
@@ -71,7 +92,6 @@ def mix(*parts):
 # cost larger than a short stream: each thread keeps one and re-keys it.
 _LOCAL = threading.local()
 _ZERO4 = (0, 0, 0, 0)
-_SHIFT = np.uint64(11)
 
 # Pairs per chunk of a Gaussian block: a chunk's scratch stays in cache, and
 # a block of one chunk (every d <= 2 * _CHUNK_PAIRS row) never leaves the
@@ -88,6 +108,7 @@ def _philox(seed: int, block: int) -> np.random.Philox:
     gen = getattr(_LOCAL, "philox", None)
     if gen is None:
         gen = _LOCAL.philox = np.random.Philox(key=0)
+        _LOCAL.uniform = np.random.Generator(gen)  # draws from gen's state
     gen.state = {
         "bit_generator": "Philox",
         "state": {"counter": (block, 0, 0, 0), "key": (seed & _MASK64, 0)},
@@ -107,35 +128,37 @@ def raw_uint64(seed: int, n: int) -> np.ndarray:
     return _philox(seed, 0).random_raw(n)
 
 
-def _fill_chunk(out: np.ndarray, seeds, start: int, stop: int) -> None:
+def _fill_chunk(out: np.ndarray, seeds, start: int, stop: int, scratch: np.ndarray) -> None:
     """Pairs [start, stop) of the padded block out, counted row-major: pair j
     of a row takes words 2j and 2j + 1 of its seed's stream and fills columns
     2j (cosine) and 2j + 1 (sine), so the chunk is one contiguous run of out.
-    One elementwise transform serves every row's words, so each coordinate
-    has the bits of any other split of the same streams."""
+    The words' uniforms are written into that run and transformed through
+    `scratch`, three float64 rows of at least stop - start, so a chunk
+    allocates nothing the size of its data. One elementwise transform serves
+    every row's words, so each coordinate has the bits of any other split of
+    the same streams."""
     pairs = out.shape[1] // 2
-    words = []
+    dest = out.reshape(-1)[2 * start:2 * stop]
+    at = 0
     for row in range(start // pairs, (stop - 1) // pairs + 1):
         j0, j1 = max(start - row * pairs, 0), min(stop - row * pairs, pairs)
-        skip = (2 * j0) % 4
-        words.append(_philox(seeds[row], (2 * j0) // 4).random_raw(skip + 2 * (j1 - j0))[skip:])
-    raw = np.concatenate(words) if len(words) > 1 else words[0]
-    del words
-    raw >>= _SHIFT
-    # u1 in (0, 1] (shifted to keep log finite), u2 in [0, 1)
-    radius = raw[0::2].astype(np.float64)
-    radius += 1.0
-    radius *= 2.0**-53
+        gen = _philox(seeds[row], (2 * j0) // 4)
+        if j0 % 2:  # word 2 * j0 is the third of its counter block
+            gen.random_raw(2)
+        # the uniforms (word >> 11) * 2**-53, exact, of the next words
+        _LOCAL.uniform.random(out=dest[at:at + 2 * (j1 - j0)])
+        at += 2 * (j1 - j0)
+    n = stop - start
+    radius, theta, cos = scratch[0, :n], scratch[1, :n], scratch[2, :n]
+    # u1 in (0, 1] (shifted to keep log finite; the sum is exact), u2 in [0, 1)
+    np.add(dest[0::2], 2.0**-53, out=radius)
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    theta = raw[1::2].astype(np.float64)
-    # 2 pi * 2**-53 is exact, so this rounds once, as (u2 * 2**-53) * (2 pi) does
-    theta *= 2.0 * np.pi * 2.0**-53
-    cos = np.cos(theta, out=raw.view(np.float64)[:theta.size])  # the words are spent
+    np.multiply(dest[1::2], 2.0 * np.pi, out=theta)
+    np.cos(theta, out=cos)
     sin = np.sin(theta, out=theta)
-    dest = out.reshape(-1)[2 * start:2 * stop]
-    np.multiply(radius, cos, out=dest[0::2])
+    np.multiply(radius, cos, out=dest[0::2])  # the uniforms are spent
     np.multiply(radius, sin, out=dest[1::2])
 
 
@@ -166,46 +189,86 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def gaussian_rows(seeds, dim: int) -> np.ndarray:
-    """(n, dim) standard normals whose row i is gaussian_vector(seeds[i], dim).
+class RowDraw:
+    """A block of Gaussian rows being drawn, made by start_rows: the helper
+    threads take its chunks from the start, and finish() lets the caller
+    take what is left and returns the block."""
+
+    def __init__(self, seeds, dim: int):
+        self.seeds = [int(s) for s in seeds]
+        self.dim = dim
+        pairs = (dim + 1) // 2
+        self.out = np.empty((len(self.seeds), 2 * pairs))
+        self._total = len(self.seeds) * pairs
+        self._starts = iter(range(0, self._total, _CHUNK_PAIRS))
+        self._taking = threading.Lock()
+        self._pid = os.getpid()
+        executor, threads = _helpers() if self._total > _CHUNK_PAIRS else (None, 0)
+        # one scratch slot per drawing thread, slot 0 the caller's, allocated
+        # here so that a draw's memory does not depend on when threads run
+        self._scratch = np.empty((threads + 1, 3, min(self._total, _CHUNK_PAIRS)))
+        self._helpers = [executor.submit(self._drain, slot) for slot in range(1, threads + 1)]
+
+    def _drain(self, slot: int):
+        while True:
+            with self._taking:
+                start = next(self._starts, None)
+            if start is None:
+                return
+            _fill_chunk(self.out, self.seeds, start, min(start + _CHUNK_PAIRS, self._total),
+                        self._scratch[slot])
+
+    def finish(self) -> np.ndarray:
+        """The (n, dim) block, once the caller has drawn every chunk no
+        helper took and the helpers are done. In a child forked meanwhile,
+        which has none of the helper threads, the caller draws it anew."""
+        if os.getpid() != self._pid:
+            return start_rows(self.seeds, self.dim).finish()
+        try:
+            self._drain(0)
+        finally:
+            for helper in self._helpers:
+                if not helper.cancel():  # one not yet started has nothing left to take
+                    helper.result()
+        out, self._scratch = self.out, None
+        return out if self.dim % 2 == 0 else np.ascontiguousarray(out[:, :self.dim])
+
+    def cancel(self) -> None:
+        """Stop the draw: helpers finish the chunk in hand and take no more."""
+        if os.getpid() != self._pid:  # a forked child has no helpers to stop
+            return
+        with self._taking:
+            self._starts = iter(())
+        for helper in self._helpers:
+            helper.cancel()
+
+
+def start_rows(seeds, dim: int) -> RowDraw:
+    """Start drawing the (n, dim) standard normals whose row i is
+    gaussian_vector(seeds[i], dim); RowDraw.finish() returns them.
 
     `seeds` is a sequence of n ints or a 1-D uint64 array. Whole pairs are
     drawn into an (n, 2 * ceil(dim / 2)) buffer, returned as is for even dim
     and as a contiguous copy of its first dim columns for odd dim. The pairs,
     counted row-major, are cut into chunks of _CHUNK_PAIRS, each keying its
-    own Philox at its first word. A one-chunk block is drawn in the calling
-    thread, a larger one by the caller and one helper thread per further CPU
-    the process may run on, each taking the next chunk until none is left
-    (numpy's transcendentals release the GIL). Every chunk runs the same
-    operations, so the bits depend neither on the chunking nor on the number
-    of threads.
+    own Philox at its first word. A block of more than one chunk is handed at
+    once to one helper thread per CPU the process may run on bar the
+    caller's, each taking the next chunk until none is left (numpy's
+    transcendentals release the GIL), so it is drawn while the caller does
+    other work; finish() has the caller take the chunks still left. A
+    one-chunk block, or any block in a single-CPU process, is drawn by the
+    caller in finish(). Every chunk runs the same operations, so the bits
+    depend neither on the chunking nor on the number of threads.
     """
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    seeds = [int(s) for s in seeds]
-    pairs = (dim + 1) // 2
-    out = np.empty((len(seeds), 2 * pairs))
-    total = len(seeds) * pairs
-    starts = iter(range(0, total, _CHUNK_PAIRS))
-    taking = threading.Lock()
+    return RowDraw(seeds, dim)
 
-    def drain():
-        while True:
-            with taking:
-                start = next(starts, None)
-            if start is None:
-                return
-            _fill_chunk(out, seeds, start, min(start + _CHUNK_PAIRS, total))
 
-    executor, threads = _helpers() if total > _CHUNK_PAIRS else (None, 0)
-    helpers = [executor.submit(drain) for _ in range(threads)]
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            if not helper.cancel():  # one not yet started has nothing left to take
-                helper.result()
-    return out if dim % 2 == 0 else np.ascontiguousarray(out[:, :dim])
+def gaussian_rows(seeds, dim: int) -> np.ndarray:
+    """(n, dim) standard normals whose row i is gaussian_vector(seeds[i], dim):
+    start_rows(seeds, dim).finish(), drawn by the caller and the helpers."""
+    return start_rows(seeds, dim).finish()
 
 
 def gaussian_vector(seed: int, dim: int) -> np.ndarray:
@@ -264,17 +327,22 @@ class SeedSchedule:
     def batch_seed(self, client: int, r: int, k: int) -> int:
         return mix(self.root, DOMAIN_BATCH, client, r, k)
 
+    def perturbation_seeds(self, r, tau: int, perturbations: int) -> np.ndarray:
+        """The (tau, P) uint64 grid of perturbation_seed(r, k, p), from one
+        array call, equal to it cell by cell; r is an int, or a uint64 array
+        of rounds shaped (R, 1, 1) for the (R, tau, P) grid."""
+        k = np.arange(tau, dtype=np.uint64)[:, None]
+        return self.perturbation_seed(r, k, np.arange(perturbations, dtype=np.uint64))
+
     def validate_grid(self, rounds: int, tau: int, perturbations: int) -> None:
         """Configuration-time injectivity check over the declared run grid.
 
-        All R x tau x P seeds come from one array call of perturbation_seed;
-        a collision names the first repeated cell in round-major order.
+        All R x tau x P seeds come from one perturbation_seeds call; a
+        collision names the first repeated cell in round-major order.
         """
         shape = (rounds, tau, perturbations)
         r = np.arange(rounds, dtype=np.uint64)[:, None, None]
-        k = np.arange(tau, dtype=np.uint64)[:, None]
-        p = np.arange(perturbations, dtype=np.uint64)
-        seeds = np.broadcast_to(self.perturbation_seed(r, k, p), shape).ravel()
+        seeds = np.broadcast_to(self.perturbation_seeds(r, tau, perturbations), shape).ravel()
         if np.unique(seeds).size == seeds.size:
             return
         repeated = np.ones(seeds.size, dtype=bool)

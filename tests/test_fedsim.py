@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scalarfed import fedsim
+from scalarfed import fedsim, rng
 from scalarfed import (ClientState, DiagHessian, DirectionProvider, QuadraticTask,
                        RoundConfig, ServerState, client_local_update, client_rebuild,
                        fetch_since, gaussian_vector, inv_sqrt, run_training,
@@ -15,7 +15,7 @@ from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderEr
 from scalarfed.fedsim import _replay, aggregate_scalars
 from scalarfed.harness import fuzz_config
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
-from scalarfed.rng import gaussian_rows, mix
+from scalarfed.rng import mix, start_rows
 
 
 def small_config(**over):
@@ -572,30 +572,42 @@ def test_local_update_mean_step_is_preconditioned_gradient():
 
 
 def cached_bytes(provider):
+    """Bytes of the held round."""
     return 0 if provider._block is None else provider._block.nbytes
 
 
+def live_bytes(provider):
+    """Bytes of the held round plus the round in flight."""
+    return cached_bytes(provider) + (0 if provider._ahead is None else provider._ahead[2].out.nbytes)
+
+
 def record_requests(monkeypatch):
-    """Record (provider, round, bytes cached after the request) for every
-    direction block request, and every seed generated."""
+    """Record (kind, provider, round, bytes held, bytes held or in flight)
+    after every direction block request ("block") or draw ahead ("ahead"),
+    and every seed whose draw was started."""
     requests, seeds = [], []
-    block = DirectionProvider.block
+    block, draw_ahead = DirectionProvider.block, DirectionProvider.draw_ahead
 
     def recorded_block(provider, r, shape):
         got = block(provider, r, shape)
-        requests.append((provider, r, cached_bytes(provider)))
+        requests.append(("block", provider, r, cached_bytes(provider), live_bytes(provider)))
         return got
+
+    def recorded_ahead(provider, r, shape):
+        draw_ahead(provider, r, shape)
+        requests.append(("ahead", provider, r, cached_bytes(provider), live_bytes(provider)))
 
     def counted_rows(row_seeds, dim):
         seeds.extend(int(seed) for seed in row_seeds)
-        return gaussian_rows(row_seeds, dim)
+        return start_rows(row_seeds, dim)
 
     def counted(seed, dim):
         seeds.append(seed)
         return gaussian_vector(seed, dim)
 
     monkeypatch.setattr(DirectionProvider, "block", recorded_block)
-    monkeypatch.setattr(fedsim, "gaussian_rows", counted_rows)
+    monkeypatch.setattr(DirectionProvider, "draw_ahead", recorded_ahead)
+    monkeypatch.setattr(fedsim, "start_rows", counted_rows)
     monkeypatch.setattr(fedsim, "gaussian_vector", counted)
     return requests, seeds
 
@@ -603,8 +615,10 @@ def record_requests(monkeypatch):
 @pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
 def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
     # Brute-force reference: record every direction request of a run. The
-    # run reads rounds in ascending order from one provider, so its one-round
-    # cache generates every seed once and never holds more than one round.
+    # run reads rounds in ascending order from one provider and draws ahead
+    # only the round it reads next, so every seed of rounds [0, R) is drawn
+    # once, none of round R, and after every request the provider holds at
+    # most one round and has at most one more in flight.
     requests, seeds = record_requests(monkeypatch)
     inputs = [fuzz_config(3, index) for index in range(6)]
     # M >> m: most clients have been away for many rounds when drawn
@@ -614,18 +628,29 @@ def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
         requests.clear()
         seeds.clear()
         run_training(config, task, transport=transport)
-        rounds = [r for _, r, _ in requests]
+        rounds = [r for kind, _, r, _, _ in requests if kind == "block"]
         assert rounds == sorted(rounds) and set(rounds) == set(range(config.rounds))
-        assert len({id(provider) for provider, _, _ in requests}) == 1
-        assert len(seeds) == len(set(seeds)) == config.rounds * config.tau * config.perturbations
+        # round r + 1 is drawn ahead once round r is in hand, and never round R
+        ahead = [(requests[i - 1][2], r) for i, (kind, _, r, _, _) in enumerate(requests)
+                 if kind == "ahead"]
+        assert ahead == [(r, r + 1) for r in range(config.rounds - 1)]
+        assert len({id(provider) for _, provider, _, _, _ in requests}) == 1
+        grid = config.schedule().perturbation_seeds(
+            np.arange(config.rounds, dtype=np.uint64)[:, None, None], config.tau,
+            config.perturbations)
+        assert len(seeds) == len(set(seeds)) == grid.size
+        assert set(seeds) == {int(seed) for seed in grid.ravel()}
         one_round = config.tau * config.perturbations * task.dim * 8
-        assert max(cached for _, _, cached in requests) <= one_round
+        in_flight = config.tau * config.perturbations * 2 * ((task.dim + 1) // 2) * 8  # padded
+        assert max(held for _, _, _, held, _ in requests) <= one_round
+        assert max(live for _, _, _, _, live in requests) <= one_round + in_flight
 
 
 @pytest.mark.parametrize("rounds", [6, 24])
 def test_full_participation_keeps_one_round_live(monkeypatch, rounds):
-    # however long the run and whatever the transport, the cache holds at
-    # most one round after every request, and exactly the last round at the end
+    # however long the run and whatever the transport, the provider holds at
+    # most one round and has at most one more in flight after every request,
+    # and at the end holds exactly the last round with nothing in flight
     cfg = small_config(num_clients=3, sampled_per_round=3, rounds=rounds)
     task = small_task(M=3)
     one_round = cfg.tau * cfg.perturbations * task.dim * 8
@@ -633,9 +658,10 @@ def test_full_participation_keeps_one_round_live(monkeypatch, rounds):
     for transport in ("replay", "direct", "natural"):
         requests.clear()
         run_training(cfg, task, transport=transport)
-        assert max(cached for _, _, cached in requests) == one_round
-        _, last, cached = requests[-1]
-        assert (last, cached) == (rounds - 1, one_round)
+        assert max(held for _, _, _, held, _ in requests) == one_round
+        assert max(live for _, _, _, _, live in requests) == 2 * one_round
+        _, _, last, held, live = requests[-1]
+        assert (last, held, live) == (rounds - 1, one_round, one_round)
 
 
 def test_provider_reused_across_rounds_holds_only_the_last(monkeypatch):
@@ -654,6 +680,85 @@ def test_provider_reused_across_rounds_holds_only_the_last(monkeypatch):
     assert provider._round == 3  # a row of another round is drawn alone
     assert provider.block(2, (2, 3)).tobytes() == first.tobytes()
     assert len(seeds) == 19 and provider._round == 2 and cached_bytes(provider) == one_round
+
+
+def test_provider_holds_one_round_and_one_in_flight(monkeypatch):
+    # a round drawn ahead is finished by its block request, not drawn again;
+    # drawing ahead a held or in-flight round starts nothing; a request for a
+    # round neither held nor in flight drops both, the in-flight draw
+    # cancelled, and the dropped rounds come back bit for bit
+    _, seeds = record_requests(monkeypatch)
+    provider = DirectionProvider(small_config().schedule(), 10)
+    first = provider.block(2, (2, 3))
+    provider.draw_ahead(2, (2, 3))
+    assert provider._ahead is None and len(seeds) == 6
+    provider.draw_ahead(3, (2, 3))
+    provider.draw_ahead(3, (2, 3))
+    assert provider._ahead[:2] == (3, (2, 3)) and len(seeds) == 12
+    third = provider.block(3, (2, 3))
+    assert provider._round == 3 and provider._ahead is None and len(seeds) == 12
+    assert not third.flags.writeable and cached_bytes(provider) == 2 * 3 * 10 * 8
+    cancelled, cancel = [], rng.RowDraw.cancel
+    monkeypatch.setattr(rng.RowDraw, "cancel", lambda draw: cancelled.append(draw) or cancel(draw))
+    provider.draw_ahead(4, (2, 3))
+    in_flight = provider._ahead[2]
+    assert provider.block(2, (2, 3)).tobytes() == first.tobytes()
+    assert provider._ahead is None and len(seeds) == 24 and cancelled == [in_flight]
+    assert provider.block(3, (2, 3)).tobytes() == third.tobytes() and len(seeds) == 30
+
+
+@pytest.mark.parametrize("pool", ["pool", "inline"])
+def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
+    # with 7-pair chunks every block spans several, so with the pool each
+    # round is drawn on the helpers while the one before runs; the model and
+    # the ledger bytes equal those of a run that draws each round when it is
+    # asked for, and a fresh replay of the ledger, drawing on demand too,
+    # lands on the same model
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 7)
+    if pool == "inline":
+        monkeypatch.setattr(rng, "_POOL", (None, 0))
+    cfg = small_config(num_clients=8, sampled_per_round=3, rounds=12)
+    task = small_task(M=8, dim=101)
+    ahead = run_training(cfg, task)
+    monkeypatch.setattr(DirectionProvider, "draw_ahead", lambda provider, r, shape: None)
+    on_demand = run_training(cfg, task)
+    assert serialize(ahead.server.ledger) == serialize(on_demand.server.ledger)
+    for result in (ahead, on_demand):
+        assert result.server.model.tobytes() == on_demand.server.model.tobytes()
+        assert result.server.hessian.diag.tobytes() == on_demand.server.hessian.diag.tobytes()
+    fresh = ClientState(id=0, model=task.x0, hessian=cfg.initial_hessian(task.dim))
+    replayed = client_rebuild(fresh, fetch_since(ahead.server.ledger, 0), cfg.eta,
+                              DirectionProvider(cfg.schedule(), task.dim))
+    assert replayed.model.tobytes() == ahead.server.model.tobytes()
+
+
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+@pytest.mark.parametrize("tau", [1, 3])
+def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
+    # every client of a round is handed one read-only RoundStart, built once;
+    # its scalars equal those of an update that builds its own, and at tau = 1
+    # it holds the P points alone
+    cfg = small_config(num_clients=6, sampled_per_round=3, rounds=5, tau=tau)
+    task = small_task(M=6)
+    taken, built = capture_updates(monkeypatch), []
+    round_start = fedsim.round_start
+
+    def counted(client, r, config, provider):
+        built.append(r)
+        return round_start(client, r, config, provider)
+
+    monkeypatch.setattr(fedsim, "round_start", counted)
+    run_training(cfg, task, transport=transport)
+    assert built == list(range(cfg.rounds))
+    provider = DirectionProvider(cfg.schedule(), task.dim)
+    for r, client in taken:
+        start = client.start
+        assert start.serves(client, r) and (start.zs is None) == (tau == 1)
+        assert not start.points.flags.writeable and start.points.shape == (3, task.dim)
+        shared = client_local_update(client, r, cfg, task, provider)
+        own = client_local_update(replace(client, start=None), r, cfg, task, provider)
+        assert shared.tobytes() == own.tobytes()
+    assert len({id(client.start) for _, client in taken}) == cfg.rounds
 
 
 def test_memory_does_not_grow_with_rounds():

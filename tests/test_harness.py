@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_spec_validation_names_offending_field():
 def test_unknown_round_field_rejected():
     with pytest.raises(ConfigError):
         harness.build_round_config({"M": 2, "m": 1, "R": 1, "eta": 0.1, "bogus": 1})
+
+
+@pytest.mark.parametrize("field", ["M", "m", "R", "eta"])
+def test_missing_round_field_names_it(field):
+    spec = {"M": 4, "m": 2, "R": 1, "eta": 0.1, "P": 2}
+    del spec[field]
+    with pytest.raises(ConfigError, match=f"round needs {field!r}") as err:
+        harness.build_round_config(spec)
+    assert err.value.field == field
+
+
+def test_cli_missing_round_field_exits_2(tmp_path, capsys):
+    spec = quad_spec()
+    del spec["round"]["eta"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", str(spec_path)]) == 2
+    assert "(field: eta)" in capsys.readouterr().err
 
 
 def test_decomfl_flag_vs_nu_zero_loss_columns_identical(tmp_path):
@@ -239,6 +259,26 @@ def test_cli_real_overflow_exits_3(tmp_path, capsys, over, message):
     spec_path.write_text(json.dumps(spec))
     assert main(["run", str(spec_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_cli_failure_with_a_round_in_flight_exits_3(tmp_path):
+    # at d = 2e4 each block spans several chunks, so round 2 is being drawn on
+    # the helper threads when round 1's perturbed loss overflows (the round-0
+    # step is near the overflow edge, and beta_upper = 1 keeps mu's full
+    # reach); the process must exit 3, not wait on the draw or crash
+    spec = quad_spec(R=4, eta=1e-4, mu=5e151, beta_upper=1.0)
+    spec["task"]["dim"] = 20_000
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "scalarfed.cli", "run", str(spec_path),
+         "-o", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("estimator failure: client 1 perturbed loss diverged at round 1, "
+                           "step 0, perturbation 0\n")
 
 
 def test_cli_run_whose_last_round_diverges_exits_3_without_a_trace(tmp_path, capsys,

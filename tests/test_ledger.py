@@ -49,6 +49,16 @@ def test_record_round_unknown_client_leaves_the_ledger_as_it_was():
     assert led.last_participation == {0: 0, 1: 0, 2: 0}
 
 
+def test_record_round_other_shape_leaves_the_ledger_writable():
+    # a (2, 3) log after a (1, 2) one would make a ledger serialize cannot write
+    led = record_round(Ledger(num_clients=2), make_log(0, tau=1, P=2), [0])
+    with pytest.raises(ProtocolOrderError, match=r"shape \(2, 3\)"):
+        record_round(led, make_log(1, tau=2, P=3), [1])
+    assert led.current_round == 1
+    assert led.last_participation == {0: 0, 1: 0}
+    assert deserialize(serialize(led)) == led
+
+
 def test_nonfinite_scalars_rejected():
     with pytest.raises(ProtocolOrderError):
         RoundLog(round=0, scalars=np.array([[np.nan]]))

@@ -3,6 +3,7 @@ import os
 import signal
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -119,6 +120,15 @@ def test_array_perturbation_seeds_equal_scalar_seeds(root):
         assert int(grid[cell]) == sched.perturbation_seed(*cell)
 
 
+@pytest.mark.parametrize("root, r", [(0, 0), (2**64 - 1, 9), (41, 2**40)])
+def test_round_seeds_equal_the_scalar_loop(root, r):
+    sched = SeedSchedule(root=root)
+    seeds = sched.perturbation_seeds(r, 3, 7)
+    assert seeds.shape == (3, 7) and seeds.dtype == np.uint64
+    assert seeds.ravel().tolist() == [sched.perturbation_seed(r, k, p)
+                                      for k in range(3) for p in range(7)]
+
+
 def test_raw_stream_equals_fresh_philox_across_interleaved_calls():
     # the shared generator is re-keyed per call: leftover buffer state from a
     # draw of any length must not reach the next stream
@@ -186,7 +196,8 @@ def test_gaussian_rows_chunks_mid_block_and_across_rows(monkeypatch):
 def test_concurrent_blocks_match_serial_draws(monkeypatch):
     # two threads drawing different blocks at once, through the shared pool
     # (3-pair chunks) and through their own generators (one-chunk blocks and
-    # raw streams), get the bytes of serial draws
+    # raw streams), started and finished in one call or apart with a
+    # cancelled draw between, get the bytes of serial draws
     monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
     jobs = [[(BLOCK_SEEDS[:4], 201), (BLOCK_SEEDS[4:], 1), (BLOCK_SEEDS[2:5], 33)],
             [(BLOCK_SEEDS[5:], 101), (BLOCK_SEEDS[:2], 2), (BLOCK_SEEDS[1:6], 7)]]
@@ -200,6 +211,11 @@ def test_concurrent_blocks_match_serial_draws(monkeypatch):
             for (seeds, dim), want in zip(jobs[which], serial[which]):
                 if gaussian_rows(seeds, dim).tobytes() != want:
                     mismatches.append((which, dim))
+                # a draw started behind one that is dropped mid-way
+                dropped, ahead = rng.start_rows(seeds[::-1], dim), rng.start_rows(seeds, dim)
+                dropped.cancel()
+                if ahead.finish().tobytes() != want:
+                    mismatches.append((which, dim, "ahead"))
             for seed, want in zip(BLOCK_SEEDS, raw):
                 if raw_uint64(seed, 9).tobytes() != want:
                     mismatches.append((which, seed))
@@ -216,6 +232,42 @@ def test_concurrent_blocks_match_serial_draws(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def test_started_draw_finishes_with_the_bits_of_one_call(monkeypatch):
+    # helpers take chunks from the start; finish has the caller take the rest
+    # and wait; the bits are those of gaussian_rows, with the pool or without,
+    # and a cancelled draw leaves the next one untouched
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
+    want = {dim: gaussian_rows(BLOCK_SEEDS, dim).tobytes() for dim in (33, 200)}
+    for pool in ("pool", "inline"):
+        if pool == "inline":
+            monkeypatch.setattr(rng, "_POOL", (None, 0))
+        dropped = rng.start_rows(BLOCK_SEEDS[::-1], 1001)
+        draws = {dim: rng.start_rows(BLOCK_SEEDS, dim) for dim in (33, 200)}
+        dropped.cancel()
+        for dim, draw in draws.items():
+            block = draw.finish()
+            assert block.shape == (len(BLOCK_SEEDS), dim) and block.tobytes() == want[dim], pool
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_a_draw_started_before_the_fork(monkeypatch):
+    # the child holds the parent's draw but none of the helpers working on it:
+    # its finish must draw the block itself, not wait on threads that do not exist
+    monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
+    want = gaussian_rows(BLOCK_SEEDS, 8001).tobytes()
+    draw = rng.start_rows(BLOCK_SEEDS, 8001)  # 12003 chunks, with the helpers
+    time.sleep(0.01)  # a helper is mid-draw at the fork
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        signal.alarm(30)
+        os._exit(0 if draw.finish().tobytes() == want else 1)
+    assert draw.finish().tobytes() == want
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
