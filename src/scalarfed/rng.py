@@ -204,6 +204,7 @@ class RowDraw:
         self._taking = threading.Lock()
         self._pid = os.getpid()
         executor, threads = _helpers() if self._total > _CHUNK_PAIRS else (None, 0)
+        threads = min(threads, (self._total - 1) // _CHUNK_PAIRS)  # chunks bar one
         # one scratch slot per drawing thread, slot 0 the caller's, allocated
         # here so that a draw's memory does not depend on when threads run
         self._scratch = np.empty((threads + 1, 3, min(self._total, _CHUNK_PAIRS)))
