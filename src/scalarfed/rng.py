@@ -231,7 +231,8 @@ class RowDraw:
             for helper in self._helpers:
                 if not helper.cancel():  # one not yet started has nothing left to take
                     helper.result()
-        out, self._scratch = self.out, None
+        # a cancelled helper's queued work item keeps this object, not its arrays
+        out, self.out, self._scratch = self.out, None, None
         return out if self.dim % 2 == 0 else np.ascontiguousarray(out[:, :self.dim])
 
     def cancel(self) -> None:
