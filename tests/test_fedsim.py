@@ -712,24 +712,27 @@ def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
     # with 7-pair chunks every block spans several, so with the pool each
     # round is drawn on the helpers while the one before runs; the model and
     # the ledger bytes equal those of a run that draws each round when it is
-    # asked for, and a fresh replay of the ledger, drawing on demand too,
-    # lands on the same model
+    # asked for, and fresh replays of the ledger, drawing each next round
+    # ahead or each round on demand, land on the same model
     monkeypatch.setattr(rng, "_CHUNK_PAIRS", 7)
     if pool == "inline":
         monkeypatch.setattr(rng, "_POOL", (None, 0))
     cfg = small_config(num_clients=8, sampled_per_round=3, rounds=12)
     task = small_task(M=8, dim=101)
+    fresh = ClientState(id=0, model=task.x0, hessian=cfg.initial_hessian(task.dim))
+
+    def replay(ledger):
+        return client_rebuild(fresh, fetch_since(ledger, 0), cfg.eta,
+                              DirectionProvider(cfg.schedule(), task.dim)).model.tobytes()
+
     ahead = run_training(cfg, task)
+    replayed_ahead = replay(ahead.server.ledger)
     monkeypatch.setattr(DirectionProvider, "draw_ahead", lambda provider, r, shape: None)
     on_demand = run_training(cfg, task)
     assert serialize(ahead.server.ledger) == serialize(on_demand.server.ledger)
-    for result in (ahead, on_demand):
-        assert result.server.model.tobytes() == on_demand.server.model.tobytes()
-        assert result.server.hessian.diag.tobytes() == on_demand.server.hessian.diag.tobytes()
-    fresh = ClientState(id=0, model=task.x0, hessian=cfg.initial_hessian(task.dim))
-    replayed = client_rebuild(fresh, fetch_since(ahead.server.ledger, 0), cfg.eta,
-                              DirectionProvider(cfg.schedule(), task.dim))
-    assert replayed.model.tobytes() == ahead.server.model.tobytes()
+    assert ahead.server.model.tobytes() == on_demand.server.model.tobytes()
+    assert ahead.server.hessian.diag.tobytes() == on_demand.server.hessian.diag.tobytes()
+    assert replayed_ahead == replay(ahead.server.ledger) == ahead.server.model.tobytes()
 
 
 @pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
