@@ -113,9 +113,10 @@ class DirectionProvider:
     that a later block(r, shape) only finishes it. The provider holds one
     round and has at most one more in flight: block() for the round in
     flight makes it the held one, and block() for any other round drops
-    both. Every reader (the server, the shadow replica, the local updates,
-    an offline replay) asks for rounds in ascending order and draws ahead
-    only the round it reads next, so each direction is drawn once.
+    both (a dropped draw runs out on the helpers and is freed). Every reader
+    (the server, the shadow replica, the local updates, an offline replay)
+    asks for rounds in ascending order, and run_training draws ahead only
+    the round it reads next, so each direction is drawn once.
     u(r, k, p) is one row: a row of the held round, or else drawn alone.
     """
 
@@ -131,15 +132,12 @@ class DirectionProvider:
         return r, shape, start_rows(seeds, self.dim)
 
     def draw_ahead(self, r: int, shape) -> None:
-        """Start drawing round r unless it is held or in flight; a round in
+        """Start drawing round r unless it is held or in flight; a draw in
         flight for another round is dropped."""
         shape = tuple(shape)
-        if (r == self._round and self._block.shape[:2] == shape
+        if not (r == self._round and self._block.shape[:2] == shape
                 or self._ahead is not None and self._ahead[:2] == (r, shape)):
-            return
-        if self._ahead is not None:
-            self._ahead[2].cancel()
-        self._ahead = self._start(r, shape)
+            self._ahead = self._start(r, shape)
 
     def block(self, r: int, shape) -> np.ndarray:
         shape = tuple(shape)
@@ -147,8 +145,6 @@ class DirectionProvider:
             ahead, self._ahead = self._ahead, None
             self._round = self._block = None  # drop the old round before drawing
             if ahead is None or ahead[:2] != (r, shape):
-                if ahead is not None:
-                    ahead[2].cancel()
                 ahead = self._start(r, shape)
             self._block = ahead[2].finish().reshape(*shape, self.dim)
             self._block.setflags(write=False)
@@ -163,32 +159,30 @@ class DirectionProvider:
 
 @dataclass(frozen=True)
 class RoundStart:
-    """Step 0 of one round from one replica (model, hessian): the inverse
-    square-root curvature, the P perturbed points x + mu*z and, for tau > 1,
-    the scaled rows z that step 0's update folds. Read-only, so every client
-    handed the replica shares it."""
+    """Step 0 of one round from one replica: the inverse square-root
+    curvature, the P perturbed points x + mu*z and, for tau > 1, the scaled
+    rows z that step 0's update folds. Read-only, so every client handed the
+    replica shares it."""
 
-    round: int
-    model: np.ndarray
-    hessian: DiagHessian
     isH: np.ndarray
     points: np.ndarray
     zs: np.ndarray = None
 
-    def serves(self, client, r: int) -> bool:
-        return self.round == r and self.model is client.model and self.hessian is client.hessian
-
 
 @dataclass
 class ClientState:
-    """A client's replica: model, curvature estimate, last participation,
-    and optionally the round's step-0 arrays built from that replica."""
+    """A client's replica: model, curvature estimate, last participation.
+
+    `start` is set only by run_training, on the copy of the round's replica
+    that it hands one local update: that round's step-0 arrays. It is not an
+    init field, so replace() and every state built from a client lack it.
+    """
 
     id: int
     model: np.ndarray
     hessian: DiagHessian
     last_round: int = 0
-    start: RoundStart = None
+    start: RoundStart = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -218,11 +212,9 @@ def _replay(model, hessian, logs, provider, eta):
     model, diag = model.copy(), hessian.diag.copy()
     isH, delta, work = (np.empty_like(diag) for _ in range(3))
     zs = np.empty((logs[0].scalars.shape[1], diag.size)) if logs else None
-    for i, log in enumerate(logs):
+    for log in logs:
         inv_sqrt(diag, out=isH)
         directions = provider.block(log.round, log.scalars.shape)
-        if i + 1 < len(logs):  # drawn while this round replays
-            provider.draw_ahead(logs[i + 1].round, logs[i + 1].scalars.shape)
         for k, scalars in enumerate(log.scalars):
             scale_direction(directions[k], isH, out=zs)
             multi_perturbation_delta(scalars, zs, out=delta, work=zs)
@@ -244,7 +236,7 @@ def client_rebuild(client: ClientState, missed, eta: float,
             raise ProtocolOrderError(f"rebuild feed has round {log.round}, expected {expected}")
     model, hessian = _replay(client.model, client.hessian, missed, provider, eta)
     return replace(client, model=model, hessian=hessian,
-                   last_round=client.last_round + len(missed), start=None)
+                   last_round=client.last_round + len(missed))
 
 
 def _perturbed(x, zs, mu, out=None) -> np.ndarray:
@@ -265,8 +257,14 @@ def round_start(client: ClientState, r: int, config: RoundConfig,
     points = _perturbed(client.model, zs, config.mu, out=zs if config.tau == 1 else None)
     for array in (isH, zs, points):
         array.setflags(write=False)
-    return RoundStart(r, client.model, client.hessian, isH, points,
-                      zs if config.tau > 1 else None)
+    return RoundStart(isH, points, zs if config.tau > 1 else None)
+
+
+def _handed(replica: ClientState, cid: int, start: RoundStart) -> ClientState:
+    """The replica as client cid's, carrying the round's step-0 arrays."""
+    client = replace(replica, id=cid)
+    client.start = start
+    return client
 
 
 def client_local_update(client: ClientState, r: int, config: RoundConfig,
@@ -279,12 +277,13 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
     scalars; the model is reset to its round-start value afterwards (the
     caller's ClientState is untouched), so all durable state flows
     exclusively through the global scalars. Step 0 reads the client's
-    `start`, which run_training builds once per round for every client it
-    hands one replica; a client without one for this round and replica
-    builds it through round_start. Steps k >= 1 are the client's own.
+    `start`, which run_training builds once per round, from the replica it
+    hands every sampled client, for this round and config; a client without
+    one (verify_lemmas, tests) builds it through round_start. Steps k >= 1
+    are the client's own.
     """
     start = client.start
-    if start is None or not start.serves(client, r):
+    if start is None:
         start = round_start(client, r, config, provider)
     x, isH, mu = client.model, start.isH, config.mu
     scalars = np.empty((config.tau, config.perturbations))
@@ -469,8 +468,8 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
                 provider.draw_ahead(r + 1, shape)
             start = round_start(shadow, r, config, provider)  # step 0, once for all clients
             missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
-            matrices = [client_local_update(replace(shadow, id=cid, start=start), r, config,
-                                            task, provider) for cid in sampled]
+            matrices = [client_local_update(_handed(shadow, cid, start), r, config, task, provider)
+                        for cid in sampled]
             del start  # its (P, d) points are not kept through the aggregation
             evals += len(sampled) * config.tau * (config.perturbations + 1)
             if transport == "natural":

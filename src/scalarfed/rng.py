@@ -45,7 +45,10 @@ DOMAIN_BATCH = 0x165667B19E3779F9
 DOMAIN_TASK = 0x27D4EB2F165667C5
 
 
-# splitmix64's constants and shifts as uint64 scalars, for the array path
+# splitmix64's constants and shifts as uint64 scalars, for the array path:
+# a Python-int operand costs every array operation a conversion, and the
+# masks are no-ops on wrapping uint64 arithmetic (a 5-seed round grid takes
+# about 32 us this way against 44 us through the masked int path)
 _SPLITMIX_U64 = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                               0x94D049BB133111EB, 30, 27, 31))
 _ONE_U64 = np.uint64(1)
@@ -234,15 +237,6 @@ class RowDraw:
         # a cancelled helper's queued work item keeps this object, not its arrays
         out, self.out, self._scratch = self.out, None, None
         return out if self.dim % 2 == 0 else np.ascontiguousarray(out[:, :self.dim])
-
-    def cancel(self) -> None:
-        """Stop the draw: helpers finish the chunk in hand and take no more."""
-        if os.getpid() != self._pid:  # a forked child has no helpers to stop
-            return
-        with self._taking:
-            self._starts = iter(())
-        for helper in self._helpers:
-            helper.cancel()
 
 
 def start_rows(seeds, dim: int) -> RowDraw:

@@ -685,8 +685,8 @@ def test_provider_reused_across_rounds_holds_only_the_last(monkeypatch):
 def test_provider_holds_one_round_and_one_in_flight(monkeypatch):
     # a round drawn ahead is finished by its block request, not drawn again;
     # drawing ahead a held or in-flight round starts nothing; a request for a
-    # round neither held nor in flight drops both, the in-flight draw
-    # cancelled, and the dropped rounds come back bit for bit
+    # round neither held nor in flight drops both, and the dropped rounds
+    # come back bit for bit
     _, seeds = record_requests(monkeypatch)
     provider = DirectionProvider(small_config().schedule(), 10)
     first = provider.block(2, (2, 3))
@@ -698,12 +698,9 @@ def test_provider_holds_one_round_and_one_in_flight(monkeypatch):
     third = provider.block(3, (2, 3))
     assert provider._round == 3 and provider._ahead is None and len(seeds) == 12
     assert not third.flags.writeable and cached_bytes(provider) == 2 * 3 * 10 * 8
-    cancelled, cancel = [], rng.RowDraw.cancel
-    monkeypatch.setattr(rng.RowDraw, "cancel", lambda draw: cancelled.append(draw) or cancel(draw))
     provider.draw_ahead(4, (2, 3))
-    in_flight = provider._ahead[2]
     assert provider.block(2, (2, 3)).tobytes() == first.tobytes()
-    assert provider._ahead is None and len(seeds) == 24 and cancelled == [in_flight]
+    assert provider._ahead is None and len(seeds) == 24
     assert provider.block(3, (2, 3)).tobytes() == third.tobytes() and len(seeds) == 30
 
 
@@ -712,8 +709,7 @@ def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
     # with 7-pair chunks every block spans several, so with the pool each
     # round is drawn on the helpers while the one before runs; the model and
     # the ledger bytes equal those of a run that draws each round when it is
-    # asked for, and fresh replays of the ledger, drawing each next round
-    # ahead or each round on demand, land on the same model
+    # asked for, and a fresh replay of the ledger lands on the same model
     monkeypatch.setattr(rng, "_CHUNK_PAIRS", 7)
     if pool == "inline":
         monkeypatch.setattr(rng, "_POOL", (None, 0))
@@ -721,26 +717,23 @@ def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
     task = small_task(M=8, dim=101)
     fresh = ClientState(id=0, model=task.x0, hessian=cfg.initial_hessian(task.dim))
 
-    def replay(ledger):
-        return client_rebuild(fresh, fetch_since(ledger, 0), cfg.eta,
-                              DirectionProvider(cfg.schedule(), task.dim)).model.tobytes()
-
     ahead = run_training(cfg, task)
-    replayed_ahead = replay(ahead.server.ledger)
     monkeypatch.setattr(DirectionProvider, "draw_ahead", lambda provider, r, shape: None)
     on_demand = run_training(cfg, task)
     assert serialize(ahead.server.ledger) == serialize(on_demand.server.ledger)
     assert ahead.server.model.tobytes() == on_demand.server.model.tobytes()
     assert ahead.server.hessian.diag.tobytes() == on_demand.server.hessian.diag.tobytes()
-    assert replayed_ahead == replay(ahead.server.ledger) == ahead.server.model.tobytes()
+    replayed = client_rebuild(fresh, fetch_since(ahead.server.ledger, 0), cfg.eta,
+                              DirectionProvider(cfg.schedule(), task.dim))
+    assert replayed.model.tobytes() == ahead.server.model.tobytes()
 
 
 @pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
 @pytest.mark.parametrize("tau", [1, 3])
 def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
     # every client of a round is handed one read-only RoundStart, built once;
-    # its scalars equal those of an update that builds its own, and at tau = 1
-    # it holds the P points alone
+    # its scalars equal those of an update that builds its own (a replace()d
+    # client carries none), and at tau = 1 it holds the P points alone
     cfg = small_config(num_clients=6, sampled_per_round=3, rounds=5, tau=tau)
     task = small_task(M=6)
     taken, built = capture_updates(monkeypatch), []
@@ -755,11 +748,11 @@ def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
     assert built == list(range(cfg.rounds))
     provider = DirectionProvider(cfg.schedule(), task.dim)
     for r, client in taken:
-        start = client.start
-        assert start.serves(client, r) and (start.zs is None) == (tau == 1)
+        start, own_start = client.start, replace(client)
+        assert own_start.start is None and (start.zs is None) == (tau == 1)
         assert not start.points.flags.writeable and start.points.shape == (3, task.dim)
         shared = client_local_update(client, r, cfg, task, provider)
-        own = client_local_update(replace(client, start=None), r, cfg, task, provider)
+        own = client_local_update(own_start, r, cfg, task, provider)
         assert shared.tobytes() == own.tobytes()
     assert len({id(client.start) for _, client in taken}) == cfg.rounds
 

@@ -196,8 +196,7 @@ def test_gaussian_rows_chunks_mid_block_and_across_rows(monkeypatch):
 def test_concurrent_blocks_match_serial_draws(monkeypatch):
     # two threads drawing different blocks at once, through the shared pool
     # (3-pair chunks) and through their own generators (one-chunk blocks and
-    # raw streams), started and finished in one call or apart with a
-    # cancelled draw between, get the bytes of serial draws
+    # raw streams), get the bytes of serial draws
     monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
     jobs = [[(BLOCK_SEEDS[:4], 201), (BLOCK_SEEDS[4:], 1), (BLOCK_SEEDS[2:5], 33)],
             [(BLOCK_SEEDS[5:], 101), (BLOCK_SEEDS[:2], 2), (BLOCK_SEEDS[1:6], 7)]]
@@ -211,11 +210,6 @@ def test_concurrent_blocks_match_serial_draws(monkeypatch):
             for (seeds, dim), want in zip(jobs[which], serial[which]):
                 if gaussian_rows(seeds, dim).tobytes() != want:
                     mismatches.append((which, dim))
-                # a draw started behind one that is dropped mid-way
-                dropped, ahead = rng.start_rows(seeds[::-1], dim), rng.start_rows(seeds, dim)
-                dropped.cancel()
-                if ahead.finish().tobytes() != want:
-                    mismatches.append((which, dim, "ahead"))
             for seed, want in zip(BLOCK_SEEDS, raw):
                 if raw_uint64(seed, 9).tobytes() != want:
                     mismatches.append((which, seed))
@@ -237,15 +231,14 @@ def test_concurrent_blocks_match_serial_draws(monkeypatch):
 def test_started_draw_finishes_with_the_bits_of_one_call(monkeypatch):
     # helpers take chunks from the start; finish has the caller take the rest
     # and wait; the bits are those of gaussian_rows, with the pool or without,
-    # and a cancelled draw leaves the next one untouched
+    # and a draw left unfinished leaves the next one untouched
     monkeypatch.setattr(rng, "_CHUNK_PAIRS", 3)
     want = {dim: gaussian_rows(BLOCK_SEEDS, dim).tobytes() for dim in (33, 200)}
     for pool in ("pool", "inline"):
         if pool == "inline":
             monkeypatch.setattr(rng, "_POOL", (None, 0))
-        dropped = rng.start_rows(BLOCK_SEEDS[::-1], 1001)
+        rng.start_rows(BLOCK_SEEDS[::-1], 1001)  # dropped: runs out on the helpers
         draws = {dim: rng.start_rows(BLOCK_SEEDS, dim) for dim in (33, 200)}
-        dropped.cancel()
         for dim, draw in draws.items():
             block = draw.finish()
             assert block.shape == (len(BLOCK_SEEDS), dim) and block.tobytes() == want[dim], pool
