@@ -46,7 +46,8 @@ for p in range(P):
     u = sf.gaussian_vector(schedule.perturbation_seed(0, 0, p), 6)
     dirs.append(u)
     scalars.append((loss(x + mu * u) - loss(x)) / mu)
-print(f"mean of {P} rank-one steps:", np.round(sf.multi_perturbation_delta(scalars, dirs), 3))
+isH = np.ones(6)  # the identity curvature's inverse square root: z = u
+print(f"mean of {P} rank-one steps:", np.round(sf.multi_perturbation_delta(scalars, dirs, isH), 3))
 
 # --- 3. a client rebuilds from the ledger --------------------------------------
 

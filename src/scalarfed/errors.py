@@ -22,7 +22,8 @@ class CurvatureError(ScalarFedError):
 
 class EstimatorFailureError(ScalarFedError):
     """A loss evaluation produced a non-finite value: inside the gradient
-    estimator, or the global loss of a round's new server model.
+    estimator, or the global loss of a round's new model; or a round's
+    curvature EMA overflowed.
 
     Carries enough context (which evaluation, and the (round, step, perturbation)
     coordinates and client id inside a federated run) to locate the failure.
@@ -30,7 +31,7 @@ class EstimatorFailureError(ScalarFedError):
 
     def __init__(self, message, which=None, coords=None, client=None):
         super().__init__(message)
-        self.which = which      # "base", "perturbed" or "global"
+        self.which = which      # "base", "perturbed", "global" or "curvature"
         self.coords = coords    # (round, step, perturbation) or None
         self.client = client    # client id or None
 

@@ -2,24 +2,26 @@
 
 One round: the server samples clients; each sampled client replays the
 global scalar history it missed (Rebuild), bringing its model and curvature
-replica bitwise equal to the server state; it then runs tau local steps along
-shared seed-derived directions, collecting tau x P LOCAL gradient scalars,
-and resets its model to the round-start value; the server averages the
-scalar matrices, advances the model and the curvature EMA, and appends the
-round log to the ledger. Rebuild closure (a client that was absent lands on
-the state of one that never left) lets the simulator run that replay once
-per round, on one shadow replica that every sampled client is handed.
+replica bitwise equal to every other party's; it then runs tau local steps
+along shared seed-derived directions, collecting tau x P LOCAL gradient
+scalars, and resets its model to the round-start value; the server averages
+the scalar matrices and appends the round log to the ledger. The server
+keeps only scalars: the model and the curvature EMA advance by replaying the
+log. Rebuild closure (a client that was absent lands on the state of one
+that never left) lets the simulator run that replay once per round, on one
+shadow replica that every sampled client is handed.
 
 One round loop, run_training, serves the protocol and its full-vector
 oracles; they differ only in how round-start state reaches a client (see its
-`transport`). Rebuild and aggregation advance state through one replay
-kernel, in place on private copies, with the curvature validated once at the
-kernel boundary. It and the local update share the helpers
+`transport`). Rebuild and the direct oracle's server advance state through
+one replay kernel, in place on private copies, with the curvature validated
+once at the kernel boundary. It and the local update share the helpers
 (scale_direction, multi_perturbation_delta, fold_mean, ema_update) with
 fixed fold orders: ascending client id, ascending local step, ascending
 perturbation. A round's directions stay one (tau, P, d) block from draw to
-step, and each step takes its (P, d) rows whole. That discipline is what
-makes replay, rebuild and the full-vector oracle agree to the last bit.
+step, and each step folds its (P, d) raw rows one at a time. That discipline
+is what makes replay, rebuild and the full-vector oracle agree to the last
+bit.
 """
 
 import time
@@ -107,8 +109,9 @@ class DirectionProvider:
 
     block(r, (tau, P)) is round r's (tau, P, d) array of directions, a pure
     function of the schedule, so server, clients and oracles may share one
-    provider without coupling. A round's seeds come from one array call and
-    its rows from one start_rows draw; the round is then held, read-only.
+    provider without coupling. A round's seeds come from one round_seeds
+    call and its rows from one start_rows draw; the round is then held,
+    read-only.
     draw_ahead(r, shape) starts round r's draw on the rng helper threads, so
     that a later block(r, shape) only finishes it. The provider holds one
     round and has at most one more in flight: block() for the round in
@@ -128,8 +131,7 @@ class DirectionProvider:
         self._ahead = None  # (round, shape, RowDraw) of the round in flight
 
     def _start(self, r: int, shape: tuple):
-        seeds = self.schedule.perturbation_seeds(r, *shape).reshape(-1)
-        return r, shape, start_rows(seeds, self.dim)
+        return r, shape, start_rows(self.schedule.round_seeds(r, *shape), self.dim)
 
     def draw_ahead(self, r: int, shape) -> None:
         """Start drawing round r unless it is held or in flight; a draw in
@@ -160,29 +162,22 @@ class DirectionProvider:
 @dataclass(frozen=True)
 class RoundStart:
     """Step 0 of one round from one replica: the inverse square-root
-    curvature, the P perturbed points x + mu*z and, for tau > 1, the scaled
-    rows z that step 0's update folds. Read-only, so every client handed the
-    replica shares it."""
+    curvature and the P perturbed points x + mu*z. Read-only, so every
+    client handed the replica shares it; step 0's update (tau > 1) folds the
+    raw rows with isH, as every other step does."""
 
     isH: np.ndarray
     points: np.ndarray
-    zs: np.ndarray = None
 
 
 @dataclass
 class ClientState:
-    """A client's replica: model, curvature estimate, last participation.
-
-    `start` is set only by run_training, on the copy of the round's replica
-    that it hands one local update: that round's step-0 arrays. It is not an
-    init field, so replace() and every state built from a client lack it.
-    """
+    """A client's replica: model, curvature estimate, last participation."""
 
     id: int
     model: np.ndarray
     hessian: DiagHessian
     last_round: int = 0
-    start: RoundStart = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -204,22 +199,33 @@ def _quantize(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
+def _check_curvature(diag, r: int) -> None:
+    """EstimatorFailureError naming round r if the curvature EMA has left
+    the reals. The EMA clips every finite value into its bounds, so only a
+    NaN escapes them: a squared step that overflowed, times nu = 0. NaN is
+    sticky, and the entries are positive, so their sum is NaN exactly then."""
+    if np.isnan(diag.sum()):
+        raise EstimatorFailureError(f"curvature diverged at round {r}: a squared step overflowed",
+                                    which="curvature", coords=(r, None, None))
+
+
 def _replay(model, hessian, logs, provider, eta):
     """Advance (model, H) through recorded rounds of global scalars, in place
-    on private copies with scratch allocated once per call; the curvature is
-    validated once, at the end. Directions use the round-start curvature; the
-    EMA advances once per local step and shows only from the next round on."""
+    on private copies with three vectors of scratch allocated once per call
+    (no (P, d) block: the fold takes the raw rows one at a time); the
+    curvature is checked once per round and validated once, at the end.
+    Directions use the round-start curvature; the EMA advances once per
+    local step and shows only from the next round on."""
     model, diag = model.copy(), hessian.diag.copy()
     isH, delta, work = (np.empty_like(diag) for _ in range(3))
-    zs = np.empty((logs[0].scalars.shape[1], diag.size)) if logs else None
     for log in logs:
         inv_sqrt(diag, out=isH)
         directions = provider.block(log.round, log.scalars.shape)
         for k, scalars in enumerate(log.scalars):
-            scale_direction(directions[k], isH, out=zs)
-            multi_perturbation_delta(scalars, zs, out=delta, work=zs)
+            multi_perturbation_delta(scalars, directions[k], isH, out=delta, work=work)
             model -= np.multiply(delta, eta, out=work)
             ema_update(hessian, delta, out=diag, work=work)
+        _check_curvature(diag, log.round)
     return model, replace(hessian, diag=diag)
 
 
@@ -239,10 +245,11 @@ def client_rebuild(client: ClientState, missed, eta: float,
                    last_round=client.last_round + len(missed))
 
 
-def _perturbed(x, zs, mu, out=None) -> np.ndarray:
-    """The (P, d) points x + mu*z of scaled rows zs, into `out` (zs itself
-    may be it): fl(fl(z*mu) + x), the bits of x + mu*z."""
-    points = np.multiply(zs, mu, out=out)
+def _perturbed(x, rows, isH, mu) -> np.ndarray:
+    """The (P, d) points x + mu*z of raw rows scaled by isH, in one new
+    block: fl(fl(fl(u*isH)*mu) + x), the bits of x + mu*z."""
+    points = scale_direction(rows, isH)
+    points *= mu
     points += x
     return points
 
@@ -250,25 +257,17 @@ def _perturbed(x, zs, mu, out=None) -> np.ndarray:
 def round_start(client: ClientState, r: int, config: RoundConfig,
                 provider: DirectionProvider) -> RoundStart:
     """Round r's step-0 arrays from the client's replica, the same for every
-    client handed it. At tau = 1 the scaled rows become the points in place,
-    as step 0's update is never taken."""
+    client handed it."""
     isH = inv_sqrt(client.hessian)
-    zs = scale_direction(provider.block(r, (config.tau, config.perturbations))[0], isH)
-    points = _perturbed(client.model, zs, config.mu, out=zs if config.tau == 1 else None)
-    for array in (isH, zs, points):
+    points = _perturbed(client.model, provider.block(r, (config.tau, config.perturbations))[0],
+                        isH, config.mu)
+    for array in (isH, points):
         array.setflags(write=False)
-    return RoundStart(isH, points, zs if config.tau > 1 else None)
-
-
-def _handed(replica: ClientState, cid: int, start: RoundStart) -> ClientState:
-    """The replica as client cid's, carrying the round's step-0 arrays."""
-    client = replace(replica, id=cid)
-    client.start = start
-    return client
+    return RoundStart(isH, points)
 
 
 def client_local_update(client: ClientState, r: int, config: RoundConfig,
-                        task, provider: DirectionProvider) -> np.ndarray:
+                        task, provider: DirectionProvider, start: RoundStart = None) -> np.ndarray:
     """Run tau local steps and return the (tau, P) LOCAL scalar matrix.
 
     This is the one forward-difference estimator: every scalar is
@@ -276,16 +275,16 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
     one base evaluation and one batch. The trajectory uses the client's own
     scalars; the model is reset to its round-start value afterwards (the
     caller's ClientState is untouched), so all durable state flows
-    exclusively through the global scalars. Step 0 reads the client's
-    `start`, which run_training builds once per round, from the replica it
-    hands every sampled client, for this round and config; a client without
-    one (verify_lemmas, tests) builds it through round_start. Steps k >= 1
-    are the client's own.
+    exclusively through the global scalars. Step 0 reads `start`, round r's
+    step-0 arrays from this client's replica and config, which run_training
+    builds once per round and passes to every sampled client; without it
+    (verify_lemmas, tests) the update builds its own through round_start.
+    Steps k >= 1 are the client's own.
     """
-    start = client.start
     if start is None:
         start = round_start(client, r, config, provider)
     x, isH, mu = client.model, start.isH, config.mu
+    directions = provider.block(r, (config.tau, config.perturbations))
     scalars = np.empty((config.tau, config.perturbations))
     for k in range(config.tau):
         batch = task.draw_batch(client.id, r, k, provider.schedule)
@@ -295,11 +294,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
                 f"client {client.id} base loss diverged at round {r}, step {k}",
                 which="base", coords=(r, k, None), client=client.id,
             )
-        if k:
-            zs = scale_direction(provider.block(r, scalars.shape)[k], isH)
-            points = _perturbed(x, zs, mu)
-        else:
-            zs, points = start.zs, start.points
+        points = _perturbed(x, directions[k], isH, mu) if k else start.points
         losses = np.array([task.client_loss(client.id, point, batch) for point in points])
         diverged = np.flatnonzero(~np.isfinite(losses))
         if diverged.size:
@@ -311,8 +306,7 @@ def client_local_update(client: ClientState, r: int, config: RoundConfig,
             )
         scalars[k] = (losses - base) / mu
         if k + 1 < config.tau:  # the reset discards the model after the last step
-            # step 0's rows are shared: its fold takes fresh scratch
-            x = x - config.eta * multi_perturbation_delta(scalars[k], zs, work=zs if k else None)
+            x = x - config.eta * multi_perturbation_delta(scalars[k], directions[k], isH)
     return scalars
 
 
@@ -325,9 +319,11 @@ def aggregate_scalars(matrices, quantize: bool = False) -> np.ndarray:
     return _quantize(fold_mean([_quantize(mat) for mat in matrices]))
 
 
-def server_aggregate(server: ServerState, matrices, r: int, config: RoundConfig,
-                     provider: DirectionProvider):
-    """Average the clients' scalar matrices and advance the global state."""
+def server_aggregate(matrices, r: int, config: RoundConfig) -> RoundLog:
+    """Round r's log: the checked count and shape of the clients' scalar
+    matrices, then their mean (over the modelled 32-bit wire if the config
+    says so). The server's whole job in the protocol; the model advance is
+    the oracles' (_replay, _average_deltas) or a replica's rebuild."""
     if len(matrices) != config.sampled_per_round:
         raise ProtocolOrderError(
             f"expected {config.sampled_per_round} scalar matrices, got {len(matrices)}"
@@ -336,26 +332,24 @@ def server_aggregate(server: ServerState, matrices, r: int, config: RoundConfig,
     for mat in matrices:
         if mat.shape != shape:
             raise ProtocolOrderError(f"scalar matrix shape {mat.shape} != {shape}")
-    global_scalars = aggregate_scalars(matrices, quantize=config.quantize_wire)
-    log = RoundLog(round=r, scalars=global_scalars)
-    model, hessian = _replay(server.model, server.hessian, [log], provider, config.eta)
-    return log, model, hessian
+    return RoundLog(round=r, scalars=aggregate_scalars(matrices, quantize=config.quantize_wire))
 
 
 def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
                     provider: DirectionProvider):
     """The natural model-averaging server step: mean of the clients' per-step
     delta vectors. Mathematically the replay of the mean scalars, but
-    floating-point distinct."""
-    model, hessian = server.model, server.hessian
-    isH = inv_sqrt(hessian)
+    floating-point distinct. Its curvature is checked as _replay's is."""
+    model, diag = server.model, server.hessian.diag.copy()
+    isH = inv_sqrt(diag)
     directions = provider.block(r, (config.tau, config.perturbations))
     for k in range(config.tau):
-        zs = scale_direction(directions[k], isH)
-        delta = fold_mean([multi_perturbation_delta(mat[k], zs) for mat in matrices])
+        delta = fold_mean([multi_perturbation_delta(mat[k], directions[k], isH)
+                           for mat in matrices])
         model = model - config.eta * delta
-        hessian = ema_update(hessian, delta)
-    return model, hessian
+        ema_update(server.hessian, delta, out=diag)
+    _check_curvature(diag, r)
+    return model, replace(server.hessian, diag=diag)
 
 
 @dataclass
@@ -405,29 +399,35 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     server averages the clients' delta vectors instead of replaying the mean
     scalars; it agrees only to rounding. Only "replay" keeps a replica.
 
-    Under "replay" the run keeps one shadow replica, the client that never
-    left: it starts as the read-only (x0, identity) pair and, at the top of
-    every round after the first, rebuilds over the one ledger round it
-    missed; its arrays are then frozen (rebuild copies before it advances).
-    Rebuild closure makes it the state that any absent client would rebuild,
-    so every sampled client is handed the shadow under its own id: the
-    shadow rebuilds each round once, however many clients return to it, the
-    server's aggregation replays it once more on its own arrays, and no
-    server vector reaches a client. Clients are sampled round by round and
-    every reader asks for directions in ascending rounds. As soon as round
-    r's block is in hand the provider starts drawing round r + 1 (if r + 1 <
-    R), which the rng helper threads do while round r runs, so each
-    direction is drawn once, at most two rounds are live, and memory does
-    not grow with R. The step-0 arrays are built once per round, by
-    round_start from the shadow (under the oracles, from the server state
-    they hand over), and every sampled client is handed them with the
-    replica. Missed rounds, and so the meter and staleness, count from the
-    ledger's last participation. Where the task's optional
-    `curvature_truth()` returns (Sigma, L), each record carries the
-    diagnostics. A round whose new server model has a non-finite global loss
-    raises EstimatorFailureError (which="global") before its trace record.
-    The loop ignores numpy's overflow and invalid warnings, so an overflowing
-    loss always fails as EstimatorFailureError, even under `python -W error`.
+    In every transport the server checks and aggregates the clients'
+    scalars (server_aggregate) and records the round; only the oracles then
+    advance a server-side model, "direct" through the replay kernel and
+    "natural" through _average_deltas. Under "replay" the server keeps only
+    scalars, and the run's model is that of one shadow replica, the client
+    that never left: it starts as the read-only (x0, identity) pair and, at
+    the end of every round, rebuilds from the ledger over the round just
+    recorded; its arrays are then frozen (rebuild copies before it
+    advances). Rebuild closure makes it the state that any absent client
+    would rebuild, so every sampled client is handed the shadow under its
+    own id: each round is replayed once, R rebuilds per run however many
+    clients return, and the round's loss, trace and the final
+    RunResult.server read the shadow's arrays. No server vector reaches a
+    client. Clients are sampled round by round and every reader asks for
+    directions in ascending rounds. As soon as round r's block is in hand
+    the provider starts drawing round r + 1 (if r + 1 < R), which the rng
+    helper threads do while round r runs, so each direction is drawn once,
+    at most two rounds are live, and memory does not grow with R. The
+    step-0 arrays are built once per round, by round_start from the shadow
+    (under the oracles, from the server state they hand over), and passed
+    to every sampled client's update. Missed rounds, and so the meter and
+    staleness, count from the ledger's last participation. Where the task's
+    optional `curvature_truth()` returns (Sigma, L), each record carries the
+    diagnostics. A round whose new model has a non-finite global loss raises
+    EstimatorFailureError (which="global"), and one whose curvature EMA
+    overflows raises it with which="curvature", in every transport before
+    the round's trace record. The loop ignores numpy's overflow and invalid
+    warnings, so an overflowing loss always fails as EstimatorFailureError,
+    even under `python -W error`.
     """
     check_range("transport", transport, transport in ("replay", "direct", "natural"),
                 "replay, direct or natural")
@@ -436,7 +436,7 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     dim = task.dim
     truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
     provider = DirectionProvider(config.schedule(), dim)
-    x0 = np.array(task.x0, dtype=np.float64)
+    x0 = np.asarray(task.x0, dtype=np.float64).view()  # read-only, the task's own stays writeable
     identity = config.initial_hessian(dim)
     for shared in (x0, identity.diag):
         shared.setflags(write=False)
@@ -458,30 +458,34 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
                                                        r, config.sampling_seed)]
             if transport != "replay":  # the oracles hand the server state over by value
                 shadow = ClientState(id=-1, model=server.model, hessian=server.hessian)
-            elif r:
-                shadow = client_rebuild(shadow, fetch_since(server.ledger, shadow.last_round),
-                                        config.eta, provider)
-                for array in (shadow.model, shadow.hessian.diag):
-                    array.setflags(write=False)
             provider.block(r, shape)  # round r in hand: draw round r + 1 behind this one
             if r + 1 < config.rounds:
                 provider.draw_ahead(r + 1, shape)
             start = round_start(shadow, r, config, provider)  # step 0, once for all clients
             missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
-            matrices = [client_local_update(_handed(shadow, cid, start), r, config, task, provider)
+            matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider,
+                                            start)
                         for cid in sampled]
-            del start  # its (P, d) points are not kept through the aggregation
+            del start  # its (P, d) points are not kept through the round's replay
             evals += len(sampled) * config.tau * (config.perturbations + 1)
-            if transport == "natural":
-                log = RoundLog(round=r, scalars=aggregate_scalars(matrices, config.quantize_wire))
-                model, hessian = _average_deltas(server, matrices, r, config, provider)
+            log = server_aggregate(matrices, r, config)
+            ledger = record_round(server.ledger, log, sampled)  # appends in place
+            if transport == "replay":
+                shadow = client_rebuild(shadow, fetch_since(ledger, shadow.last_round),
+                                        config.eta, provider)
+                for array in (shadow.model, shadow.hessian.diag):
+                    array.setflags(write=False)
+                model, hessian = shadow.model, shadow.hessian
+            elif transport == "direct":
+                model, hessian = _replay(server.model, server.hessian, [log], provider,
+                                         config.eta)
             else:
-                log, model, hessian = server_aggregate(server, matrices, r, config, provider)
+                model, hessian = _average_deltas(server, matrices, r, config, provider)
             prev_meter = server.meter
             server = ServerState(
                 model=model,
                 hessian=hessian,
-                ledger=record_round(server.ledger, log, sampled),  # appends in place
+                ledger=ledger,
                 meter=meter_round(
                     server.meter, config.sampled_per_round, config.tau,
                     config.perturbations, missed_counts,

@@ -239,10 +239,10 @@ def verify_lemmas(dim: int = 6, samples: int = 10**6, seed: int = 0) -> Verifica
     provider = DirectionProvider(config.schedule(), d)
     scalars = client_local_update(ClientState(id=0, model=x, hessian=H), 0, config,
                                   task, provider)[0]
-    zs = scale_direction(provider.block(0, (1, n))[0], inv_sqrt(H))
+    rows, isH = provider.block(0, (1, n))[0], inv_sqrt(H)
     target = a * x / H.diag  # the preconditioned gradient
-    se = (scalars[:, None] * zs).std(axis=0) / np.sqrt(n)
-    mean = multi_perturbation_delta(scalars, zs)
+    se = (scalars[:, None] * scale_direction(rows, isH)).std(axis=0) / np.sqrt(n)
+    mean = multi_perturbation_delta(scalars, rows, isH)
     dev = float(np.max(np.abs(mean - target) / (3.0 * se)))
     report.add("forward-difference unbiasedness (Hessian-informed quadratic)", dev <= 1.0,
                dev, 1.0, n, time.perf_counter() - t0, detail="in units of 3 standard errors")

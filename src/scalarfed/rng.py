@@ -31,6 +31,7 @@ chaining with per-purpose domain constants.
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,15 +77,16 @@ def splitmix64(x):
     return (x ^ (x >> 31)) & _MASK64
 
 
-def mix(*parts):
+def mix(*parts, chain: int = 0):
     """Fold integers into one well-mixed 64-bit seed.
 
     Pure and order-sensitive: mix(a, b) != mix(b, a) in general. Offsetting
     each part by 1 keeps zero-valued indices from collapsing into the chain.
     Parts may be Python ints or broadcastable uint64 arrays; array parts give
     the seeds of every cell at once, equal to the scalar fold cell by cell.
+    `chain` continues a fold: mix(a, b, chain=mix(c)) == mix(c, a, b).
     """
-    h = 0
+    h = chain
     for p in parts:
         p = p + _ONE_U64 if isinstance(p, np.ndarray) else (p + 1) & _MASK64
         h = splitmix64(h ^ p)
@@ -314,8 +316,22 @@ class SeedSchedule:
 
     root: int
 
+    @cached_property
+    def _perturbation_chain(self) -> int:
+        # mix(root, DOMAIN_PERTURBATION), the prefix of every perturbation seed
+        return mix(self.root, DOMAIN_PERTURBATION)
+
     def perturbation_seed(self, r: int, k: int, p: int) -> int:
-        return mix(self.root, DOMAIN_PERTURBATION, r, k, p)
+        """mix(root, DOMAIN_PERTURBATION, r, k, p), ints or arrays."""
+        return mix(r, k, p, chain=self._perturbation_chain)
+
+    def round_seeds(self, r: int, tau: int, perturbations: int) -> list:
+        """perturbation_seed(r, k, p) for every (k, p) of round r, row-major,
+        as Python ints: the chain steps through r once and each k once, so a
+        seed costs one splitmix64 step and no array call's fixed cost."""
+        h = mix(r, chain=self._perturbation_chain)
+        return [splitmix64(hk ^ (p + 1)) for hk in (mix(k, chain=h) for k in range(tau))
+                for p in range(perturbations)]
 
     def sampling_seed(self, r: int) -> int:
         return mix(self.root, DOMAIN_SAMPLING, r)

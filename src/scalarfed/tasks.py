@@ -113,11 +113,14 @@ class QuadraticTask:
         return 0.5 * float(d @ self._apply_A(d)) + spread
 
     def curvature_truth(self):
-        """(diagonal Sigma, L) for the preconditioner diagnostics; None under
-        rotation, where the Hessian is not diagonal."""
+        """(diagonal Sigma, L) for the preconditioner diagnostics, Sigma a
+        read-only view of the spectrum; None under rotation, where the
+        Hessian is not diagonal."""
         if self.rotation is not None:
             return None
-        return self.spectrum.copy(), float(self.spectrum.max())
+        sigma = self.spectrum.view()
+        sigma.setflags(write=False)
+        return sigma, float(self.spectrum.max())
 
 
 @dataclass(frozen=True)

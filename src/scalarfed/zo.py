@@ -12,8 +12,9 @@ z = H^(-1/2) u with u standard normal, which makes the expected step a
 Newton-style preconditioned gradient H^(-1) grad f(x) (up to O(mu)). The
 simulator's estimator is fedsim.client_local_update; this module holds the
 direction and step helpers that every party shares. A step's P directions
-are one (P, d) row block, preconditioned in one multiply and folded through
-fold_mean, the one helper every mean goes through.
+are one (P, d) block of raw rows; multi_perturbation_delta preconditions
+and folds them one row at a time, in the order of fold_mean, the one helper
+every other mean goes through.
 """
 
 import numpy as np
@@ -41,16 +42,23 @@ def fold_mean(stack, out=None) -> np.ndarray:
     return out
 
 
-def multi_perturbation_delta(scalars, directions, out=None, work=None) -> np.ndarray:
-    """Mean of the P rank-one steps g_p * z_p of a (P, d) direction block: one
-    broadcast multiply, then fold_mean in ascending perturbation order. P = 1
-    is exactly the step g * z (the final /1.0 is lossless). Given `out` and a
-    (P, d) scratch `work`, which may be `directions` itself, it allocates
-    nothing."""
+def multi_perturbation_delta(scalars, rows, inv_sqrt_diag, out=None, work=None) -> np.ndarray:
+    """Mean of the P rank-one steps g_p * z_p, z_p = rows[p] * inv_sqrt_diag,
+    folded a row at a time in ascending order: row p is scaled into one-row
+    scratch, multiplied by g_p and added to the sum, the bits of scaling the
+    whole (P, d) block and taking fold_mean of its steps. P = 1 is exactly
+    g * z (the final /1.0 is lossless). Given `out` and a one-row scratch
+    `work` it allocates nothing."""
     scalars = np.asarray(scalars)
-    if scalars.size == 0 or scalars.shape != (len(directions),):
+    if scalars.size == 0 or scalars.shape != (len(rows),):
         raise InvalidDimensionError(
-            f"need equal, nonzero arity, got {scalars.size} scalars and {len(directions)} directions"
+            f"need equal, nonzero arity, got {scalars.size} scalars and {len(rows)} directions"
         )
-    steps = np.multiply(scalars[:, None], directions, out=work, dtype=np.float64)
-    return fold_mean(steps, out=out)
+    out = scale_direction(rows[0], inv_sqrt_diag, out=out)  # acc = step 0
+    out *= scalars[0]
+    for g, row in zip(scalars[1:], rows[1:]):
+        work = scale_direction(row, inv_sqrt_diag, out=work)
+        work *= g
+        out += work
+    out /= len(rows)
+    return out

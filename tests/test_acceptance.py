@@ -219,7 +219,7 @@ def test_multi_perturbation_variance_quarter():
         for t in range(trials):
             scalars = sf.client_local_update(client, t, cfg, task, provider)[0]
             # identity curvature: the round's raw directions are the step's
-            out[t] = sf.multi_perturbation_delta(scalars, provider.block(t, (1, P))[0])[0]
+            out[t] = sf.multi_perturbation_delta(scalars, provider.block(t, (1, P))[0], 1.0)[0]
         return float(out.var())
 
     v2 = first_coord_var(2, 10**4, 501)

@@ -177,9 +177,9 @@ def capture_updates(monkeypatch):
     taken = []
     update = fedsim.client_local_update
 
-    def recorded(client, r, config, task, provider):
+    def recorded(client, r, config, task, provider, start=None):
         taken.append((r, client))
-        return update(client, r, config, task, provider)
+        return update(client, r, config, task, provider, start)
 
     monkeypatch.setattr(fedsim, "client_local_update", recorded)
     return taken
@@ -408,6 +408,19 @@ def test_nonfinite_global_loss_fails_its_round(transport):
     assert err.value.client is None
 
 
+@pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
+def test_decomfl_curvature_overflow_fails_its_round(transport):
+    # at nu = 0 a squared step that overflows makes the EMA 0 * inf = NaN;
+    # every transport must fail at the same round, as an estimator failure
+    cfg = RoundConfig(num_clients=4, sampled_per_round=2, rounds=3, eta=1e-6, perturbations=2,
+                      mu=1e153, root_seed=3, sampling_seed=4, algorithm="decomfl")
+    task = small_task(M=4, dim=20, seed=9)
+    with pytest.raises(EstimatorFailureError) as err:
+        run_training(cfg, task, transport=transport)
+    assert err.value.which == "curvature" and err.value.coords == (0, None, None)
+    assert str(err.value) == "curvature diverged at round 0: a squared step overflowed"
+
+
 @pytest.mark.parametrize("field, value", [
     ("nu", 2.0), ("nu", -0.1), ("epsilon", 0.0), ("beta_lower", 5.0),
     ("beta_lower", 0.0), ("beta_upper", 0.5), ("eta", np.inf), ("eta", np.nan),
@@ -494,13 +507,14 @@ def uploads(cfg, r):
 def test_server_aggregate_rejects_wrong_count_or_shape(bad):
     cfg, provider, server = kernel_setup(2, 3, 0.1)
     with pytest.raises(ProtocolOrderError):
-        server_aggregate(server, bad(uploads(cfg, 0)), 0, cfg, provider)
+        server_aggregate(bad(uploads(cfg, 0)), 0, cfg)
 
 
 @pytest.mark.parametrize("tau, P, nu", KERNEL_GRID)
 def test_replay_kernel_matches_out_of_place_reference(tau, P, nu):
     cfg, provider, server = kernel_setup(tau, P, nu)
-    log, model, hessian = server_aggregate(server, uploads(cfg, 0), 0, cfg, provider)
+    log = server_aggregate(uploads(cfg, 0), 0, cfg)
+    model, hessian = _replay(server.model, server.hessian, [log], provider, cfg.eta)
     assert np.array_equal(log.scalars, log.scalars.astype(np.float32))  # 32-bit wire
     ref_model, ref_diag = reference_round(server.model, server.hessian, log.scalars, 0,
                                           provider, cfg.eta)
@@ -536,7 +550,8 @@ def test_replay_leaves_caller_arrays_untouched(monkeypatch):
     for client in clients:
         client_rebuild(client, fetch_since(server.ledger, client.last_round), cfg.eta, provider)
     matrices = [np.ones((cfg.tau, cfg.perturbations))] * cfg.sampled_per_round
-    server_aggregate(server, matrices, cfg.rounds, cfg, provider)
+    log = server_aggregate(matrices, cfg.rounds, cfg)
+    _replay(server.model, server.hessian, [log], provider, cfg.eta)
     for a, b in zip(held, before):
         assert a.tobytes() == b.tobytes()
 
@@ -731,30 +746,51 @@ def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
 @pytest.mark.parametrize("transport", ["replay", "direct", "natural"])
 @pytest.mark.parametrize("tau", [1, 3])
 def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
-    # every client of a round is handed one read-only RoundStart, built once;
-    # its scalars equal those of an update that builds its own (a replace()d
-    # client carries none), and at tau = 1 it holds the P points alone
+    # every client of a round is passed one read-only RoundStart, built once;
+    # its scalars equal those of an update that builds its own
     cfg = small_config(num_clients=6, sampled_per_round=3, rounds=5, tau=tau)
     task = small_task(M=6)
-    taken, built = capture_updates(monkeypatch), []
-    round_start = fedsim.round_start
+    taken, built = [], []
+    round_start, update = fedsim.round_start, fedsim.client_local_update
 
     def counted(client, r, config, provider):
         built.append(r)
         return round_start(client, r, config, provider)
 
+    def recorded(client, r, config, task, provider, start=None):
+        taken.append((r, client, start))
+        return update(client, r, config, task, provider, start)
+
     monkeypatch.setattr(fedsim, "round_start", counted)
+    monkeypatch.setattr(fedsim, "client_local_update", recorded)
     run_training(cfg, task, transport=transport)
     assert built == list(range(cfg.rounds))
     provider = DirectionProvider(cfg.schedule(), task.dim)
-    for r, client in taken:
-        start, own_start = client.start, replace(client)
-        assert own_start.start is None and (start.zs is None) == (tau == 1)
+    for r, client, start in taken:
         assert not start.points.flags.writeable and start.points.shape == (3, task.dim)
-        shared = client_local_update(client, r, cfg, task, provider)
-        own = client_local_update(own_start, r, cfg, task, provider)
+        shared = update(client, r, cfg, task, provider, start)
+        own = update(client, r, cfg, task, provider)
         assert shared.tobytes() == own.tobytes()
-    assert len({id(client.start) for _, client in taken}) == cfg.rounds
+    assert len({id(start) for _, _, start in taken}) == cfg.rounds
+
+
+def test_one_round_rebuild_holds_no_direction_block():
+    # with the round's block already drawn, a one-round rebuild allocates its
+    # private model and curvature and three vectors of scratch: no (P, d)
+    # block of scaled rows or steps
+    dim, P = 20_000, 8
+    cfg = small_config(tau=1, perturbations=P, rounds=1)
+    provider = DirectionProvider(cfg.schedule(), dim)
+    provider.block(0, (1, P))
+    client = ClientState(id=0, model=np.zeros(dim), hessian=cfg.initial_hessian(dim))
+    log = RoundLog(round=0, scalars=np.linspace(-1.0, 1.0, P)[None])
+    tracemalloc.start()
+    try:
+        client_rebuild(client, [log], cfg.eta, provider)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * dim * 8
 
 
 def test_memory_does_not_grow_with_rounds():
@@ -804,12 +840,12 @@ def test_replicas_live_only_until_their_last_read(monkeypatch):
     arrays, alive = [], []
     update = fedsim.client_local_update
 
-    def measured(client, r, config, task, provider):
+    def measured(client, r, config, task, provider, start=None):
         if r and not any(ref() is client.model for ref in arrays):
             arrays.append(weakref.ref(client.model))
         gc.collect()
         alive.append(sum(ref() is not None for ref in arrays))
-        return update(client, r, config, task, provider)
+        return update(client, r, config, task, provider, start)
 
     monkeypatch.setattr(fedsim, "client_local_update", measured)
     run_training(cfg, task)
@@ -820,8 +856,9 @@ def test_replicas_live_only_until_their_last_read(monkeypatch):
 def test_shared_replica_matches_independent_rebuilds(monkeypatch):
     # Each client's replica at its first appearance f equals a fresh start
     # rebuilt on its own over rounds [0, f), and the shadow replays each
-    # round once, however many clients it serves: R - 1 rebuilds of one
-    # round each, against sum(first) separate catch-ups.
+    # round once, however many clients it serves: R rebuilds of one round
+    # each (the last stands in for the server's replay), against sum(first)
+    # separate catch-ups.
     cfg = small_config(num_clients=64, sampled_per_round=2, rounds=30)
     task = small_task(M=64)
     updates, replayed = capture_updates(monkeypatch), []
@@ -843,4 +880,4 @@ def test_shared_replica_matches_independent_rebuilds(monkeypatch):
         assert client.model.tobytes() == alone.model.tobytes()
         assert client.hessian.diag.tobytes() == alone.hessian.diag.tobytes()
     assert sum(first for first, _ in taken.values()) > cfg.rounds
-    assert replayed == [1] * (cfg.rounds - 1)
+    assert replayed == [1] * cfg.rounds

@@ -60,9 +60,9 @@ def test_rebuild_closure_over_absence_patterns(params):
     taken = []
     update = fedsim.client_local_update
 
-    def recorded(client, r, config, task, provider):
+    def recorded(client, r, config, task, provider, start=None):
         taken.append((r, client))
-        return update(client, r, config, task, provider)
+        return update(client, r, config, task, provider, start)
 
     fedsim.client_local_update = recorded
     try:

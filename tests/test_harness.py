@@ -261,6 +261,17 @@ def test_cli_real_overflow_exits_3(tmp_path, capsys, over, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_decomfl_curvature_overflow_exits_3_naming_the_round(tmp_path, capsys):
+    # at nu = 0 the squared step overflows the curvature EMA in round 0
+    spec = quad_spec(R=3, eta=1e-6, mu=1e153, algorithm="decomfl")
+    spec["task"]["dim"] = 20
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", str(spec_path)]) == 3
+    assert capsys.readouterr().err == ("estimator failure: curvature diverged at round 0: "
+                                       "a squared step overflowed\n")
+
+
 def test_cli_failure_with_a_round_in_flight_exits_3(tmp_path):
     # at d = 2e4 each block spans several chunks, so round 2 is being drawn on
     # the helper threads when round 1's perturbed loss overflows (the round-0

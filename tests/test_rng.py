@@ -11,7 +11,8 @@ import pytest
 
 from scalarfed import SeedCollisionError, SeedSchedule, gaussian_vector, mix, rng
 from scalarfed.errors import InvalidDimensionError
-from scalarfed.rng import gaussian_rows, raw_uint64, sample_without_replacement, uniform_indices
+from scalarfed.rng import (DOMAIN_PERTURBATION, gaussian_rows, raw_uint64,
+                           sample_without_replacement, uniform_indices)
 
 
 def test_gaussian_determinism():
@@ -127,6 +128,15 @@ def test_round_seeds_equal_the_scalar_loop(root, r):
     assert seeds.shape == (3, 7) and seeds.dtype == np.uint64
     assert seeds.ravel().tolist() == [sched.perturbation_seed(r, k, p)
                                       for k in range(3) for p in range(7)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 2), (3, 11)])
+@pytest.mark.parametrize("root, r", [(0, 0), (2**64 - 1, 9), (41, 2**40)])
+def test_provider_round_seeds_equal_the_scalar_loop(root, r, shape):
+    # the int chain continues the schedule's cached prefix
+    sched = SeedSchedule(root=root)
+    assert sched.round_seeds(r, *shape) == [mix(root, DOMAIN_PERTURBATION, r, k, p)
+                                           for k in range(shape[0]) for p in range(shape[1])]
 
 
 def test_raw_stream_equals_fresh_philox_across_interleaved_calls():

@@ -132,33 +132,34 @@ def test_direction_rejects_nan_curvature():
 
 def test_step_delta_basics():
     # the one-perturbation step is g * z
-    assert np.array_equal(multi_perturbation_delta([0.0], [np.ones(3)]), np.zeros(3))
-    assert np.array_equal(multi_perturbation_delta([2.0], [np.array([1.0, -1.0])]), [2.0, -2.0])
+    assert np.array_equal(multi_perturbation_delta([0.0], [np.ones(3)], 1.0), np.zeros(3))
+    assert np.array_equal(multi_perturbation_delta([2.0], [np.array([1.0, -1.0])], 1.0),
+                          [2.0, -2.0])
 
 
 def test_multi_perturbation_reduces_to_step_delta():
     # P = 1 is the rank-one step g * z
     z = gaussian_vector(5, 6)
-    assert np.array_equal(multi_perturbation_delta([2.5], [z]), 2.5 * z)
+    assert np.array_equal(multi_perturbation_delta([2.5], [z], 1.0), 2.5 * z)
 
 
 def test_multi_perturbation_mean_hand_case():
     e1 = np.array([1.0, 0.0])
-    out = multi_perturbation_delta([1.0, 3.0], [e1, e1])
+    out = multi_perturbation_delta([1.0, 3.0], [e1, e1], 1.0)
     assert np.array_equal(out, 2.0 * e1)
 
 
 def test_multi_perturbation_integer_inputs_give_float_mean():
     e1 = np.array([1, 0])
-    out = multi_perturbation_delta([1, 2], [e1, e1])
+    out = multi_perturbation_delta([1, 2], [e1, e1], 1.0)
     assert out.dtype == np.float64 and np.array_equal(out, [1.5, 0.0])
 
 
 def test_multi_perturbation_empty_rejected():
     with pytest.raises(InvalidDimensionError):
-        multi_perturbation_delta([], [])
+        multi_perturbation_delta([], [], 1.0)
     with pytest.raises(InvalidDimensionError):
-        multi_perturbation_delta([1.0], [])
+        multi_perturbation_delta([1.0], [], 1.0)
 
 
 def sequential_mean(stack):
@@ -191,15 +192,22 @@ def test_every_mean_is_the_ascending_fold(shape, trial):
     assert fold_mean(stack, out=out) is out and same_bits(out, want)
     assert same_bits(fold_mean(list(stack)), want)
 
-    block = stack.reshape(shape[0], -1)  # (P, d) directions
+    block = stack.reshape(shape[0], -1)  # (P, d) raw rows
     scalars = gen.standard_normal(shape[0])
-    want = sequential_mean([g * z for g, z in zip(scalars, block)])
-    assert same_bits(multi_perturbation_delta(scalars, block), want)
-    out, work = np.empty(block.shape[1]), np.empty_like(block)
-    assert multi_perturbation_delta(scalars, block, out=out, work=work) is out
-    assert same_bits(out, want)
-    steps = block.copy()  # the scratch may be the block itself
-    assert same_bits(multi_perturbation_delta(scalars, steps, work=steps), want)
+    isH = 10.0 ** gen.uniform(-1, 1, block.shape[1])  # an inverse square-root curvature
+    for scale in (1.0, isH):
+        # the reference scales the whole block, then multiplies, then folds
+        want = sequential_mean(scalars[:, None] * (block * scale))
+        assert same_bits(multi_perturbation_delta(scalars, block, scale), want)
+        out, work = np.empty(block.shape[1]), np.empty(block.shape[1])
+        assert multi_perturbation_delta(scalars, block, scale, out=out, work=work) is out
+        assert same_bits(out, want)
+        assert same_bits(multi_perturbation_delta(scalars, block, scale, out=np.empty_like(out)),
+                         want)
+        assert same_bits(multi_perturbation_delta(scalars, block, scale, work=work), want)
+        # P = 1 is the rank-one step g * z
+        one = multi_perturbation_delta(scalars[:1], block[:1], scale, work=work)
+        assert same_bits(one, scalars[0] * (block[0] * scale))
 
     matrices = list(stack.reshape(shape[0], -1, shape[-1]))  # m clients' (tau, P) scalars
     assert same_bits(aggregate_scalars(matrices), sequential_mean(matrices))
