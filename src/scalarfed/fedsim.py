@@ -6,22 +6,23 @@ replica bitwise equal to every other party's; it then runs tau local steps
 along shared seed-derived directions, collecting tau x P LOCAL gradient
 scalars, and resets its model to the round-start value; the server averages
 the scalar matrices and appends the round log to the ledger. The server
-keeps only scalars: the model and the curvature EMA advance by replaying the
-log. Rebuild closure (a client that was absent lands on the state of one
-that never left) lets the simulator run that replay once per round, on one
-shadow replica that every sampled client is handed.
+keeps only scalars: the model and the curvature EMA exist as replicas that
+any party rebuilds from the log.
 
 One round loop, run_training, serves the protocol and its full-vector
-oracles; they differ only in how round-start state reaches a client (see its
-`transport`). Rebuild and the direct oracle's server advance state through
-one replay kernel, in place on private copies, with the curvature validated
-once at the kernel boundary. It and the local update share the helpers
-(scale_direction, multi_perturbation_delta, fold_mean, ema_update) with
-fixed fold orders: ascending client id, ascending local step, ascending
-perturbation. A round's directions stay one (tau, P, d) block from draw to
-step, and each step folds its (P, d) raw rows one at a time. That discipline
-is what makes replay, rebuild and the full-vector oracle agree to the last
-bit.
+oracles. It holds one replica of the round-start state and hands it to every
+sampled client: rebuild closure (a client that was absent lands on the state
+of one that never left) makes it the state each of them would rebuild. The
+transports differ only in how that replica advances once a round is
+recorded (see its `transport`). Rebuild and the direct oracle advance state
+through one replay kernel, in place on private copies, with the curvature
+validated once at the kernel boundary. It and the local update share the
+helpers (scale_direction, multi_perturbation_delta, fold_mean, ema_update)
+with fixed fold orders: ascending client id, ascending local step,
+ascending perturbation. A round's directions stay one (tau, P, d) block from
+draw to step, and each step folds its (P, d) raw rows one at a time. That
+discipline is what makes replay, rebuild and the full-vector oracle agree to
+the last bit.
 """
 
 import time
@@ -117,7 +118,7 @@ class DirectionProvider:
     round and has at most one more in flight: block() for the round in
     flight makes it the held one, and block() for any other round drops
     both (a dropped draw runs out on the helpers and is freed). Every reader
-    (the server, the shadow replica, the local updates, an offline replay)
+    (the run's replica, the local updates, an offline replay)
     asks for rounds in ascending order, and run_training draws ahead only
     the round it reads next, so each direction is drawn once.
     u(r, k, p) is one row: a row of the held round, or else drawn alone.
@@ -335,28 +336,29 @@ def server_aggregate(matrices, r: int, config: RoundConfig) -> RoundLog:
     return RoundLog(round=r, scalars=aggregate_scalars(matrices, quantize=config.quantize_wire))
 
 
-def _average_deltas(server: ServerState, matrices, r: int, config: RoundConfig,
+def _average_deltas(replica: ClientState, matrices, r: int, config: RoundConfig,
                     provider: DirectionProvider):
-    """The natural model-averaging server step: mean of the clients' per-step
-    delta vectors. Mathematically the replay of the mean scalars, but
-    floating-point distinct. Its curvature is checked as _replay's is."""
-    model, diag = server.model, server.hessian.diag.copy()
+    """The natural model-averaging server step on the round-start replica:
+    mean of the clients' per-step delta vectors. Mathematically the replay of
+    the mean scalars, but floating-point distinct. Its curvature is checked
+    as _replay's is."""
+    model, diag = replica.model, replica.hessian.diag.copy()
     isH = inv_sqrt(diag)
     directions = provider.block(r, (config.tau, config.perturbations))
     for k in range(config.tau):
         delta = fold_mean([multi_perturbation_delta(mat[k], directions[k], isH)
                            for mat in matrices])
         model = model - config.eta * delta
-        ema_update(server.hessian, delta, out=diag)
+        ema_update(replica.hessian, delta, out=diag)
     _check_curvature(diag, r)
-    return model, replace(server.hessian, diag=diag)
+    return model, replace(replica.hessian, diag=diag)
 
 
 @dataclass
 class RunResult:
     trace: list
     server: ServerState
-    models: list = None  # per-round post-update server models, if requested
+    models: list = None  # per-round post-update models, read-only, if requested
 
     def losses(self) -> np.ndarray:
         return np.array([rec["loss"] for rec in self.trace])
@@ -388,38 +390,34 @@ def _trace_record(r, loss, meter, prev_meter, hessian, evals, missed_counts, sta
 
 def run_training(config: RoundConfig, task, keep_models: bool = False,
                  transport: str = "replay") -> RunResult:
-    """Execute R rounds; `transport` is how round-start state reaches a client.
+    """Execute R rounds; `transport` is how the round-start replica advances.
 
-    "replay": the scalar-only protocol; each client keeps a replica and
-    rebuilds it from the ledger rounds it missed. "direct": the full-vector
-    oracle; each sampled client is handed the server's (model, curvature) by
-    value and nothing else changes, so it must agree with "replay" bitwise in
-    models, ledger, meter and trace (bar wall time); any difference convicts
-    the ledger/rebuild/reset machinery. "natural": the direct hand-off, but the
-    server averages the clients' delta vectors instead of replaying the mean
-    scalars; it agrees only to rounding. Only "replay" keeps a replica.
+    The run holds one replica (a ClientState) of the round-start model and
+    curvature. It starts as the read-only (x0, identity) pair; every sampled
+    client is handed it under its own id; once the round is recorded it
+    advances, and its new arrays are frozen, in every transport. The server
+    checks and aggregates the clients' scalars (server_aggregate), records the
+    round in the ledger and meters it. RunResult.server is built once, after
+    the last round, from the final replica, the ledger and the meter.
 
-    In every transport the server checks and aggregates the clients'
-    scalars (server_aggregate) and records the round; only the oracles then
-    advance a server-side model, "direct" through the replay kernel and
-    "natural" through _average_deltas. Under "replay" the server keeps only
-    scalars, and the run's model is that of one shadow replica, the client
-    that never left: it starts as the read-only (x0, identity) pair and, at
-    the end of every round, rebuilds from the ledger over the round just
-    recorded; its arrays are then frozen (rebuild copies before it
-    advances). Rebuild closure makes it the state that any absent client
-    would rebuild, so every sampled client is handed the shadow under its
-    own id: each round is replayed once, R rebuilds per run however many
-    clients return, and the round's loss, trace and the final
-    RunResult.server read the shadow's arrays. No server vector reaches a
-    client. Clients are sampled round by round and every reader asks for
-    directions in ascending rounds. As soon as round r's block is in hand
-    the provider starts drawing round r + 1 (if r + 1 < R), which the rng
-    helper threads do while round r runs, so each direction is drawn once,
-    at most two rounds are live, and memory does not grow with R. The
-    step-0 arrays are built once per round, by round_start from the shadow
-    (under the oracles, from the server state they hand over), and passed
-    to every sampled client's update. Missed rounds, and so the meter and
+    "replay": the scalar-only protocol; the replica rebuilds from the ledger
+    over the round just recorded, as any absent client would, so each round
+    is replayed once however many clients return, and no server vector
+    reaches a client. "direct": the full-vector oracle; the server advances
+    the replica through the replay kernel on the round's log as it holds it,
+    not as read back from the ledger, so it must agree with "replay" bitwise
+    in models, ledger, meter and trace (bar wall time); any difference
+    convicts the ledger/rebuild machinery. "natural": the server averages
+    the clients' delta vectors (_average_deltas) instead of replaying the
+    mean scalars; it agrees only to rounding.
+
+    Clients are sampled round by round and every reader asks for directions
+    in ascending rounds. As soon as round r's block is in hand the provider
+    starts drawing round r + 1 (if r + 1 < R), which the rng helper threads
+    do while round r runs, so each direction is drawn once, at most two
+    rounds are live, and memory does not grow with R. The step-0 arrays are
+    built once per round, by round_start from the replica, and passed to
+    every sampled client's update. Missed rounds, and so the meter and
     staleness, count from the ledger's last participation. Where the task's
     optional `curvature_truth()` returns (Sigma, L), each record carries the
     diagnostics. A round whose new model has a non-finite global loss raises
@@ -437,16 +435,11 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     truth = task.curvature_truth() if hasattr(task, "curvature_truth") else None
     provider = DirectionProvider(config.schedule(), dim)
     x0 = np.asarray(task.x0, dtype=np.float64).view()  # read-only, the task's own stays writeable
-    identity = config.initial_hessian(dim)
-    for shared in (x0, identity.diag):
-        shared.setflags(write=False)
-    server = ServerState(
-        model=x0,
-        hessian=identity,
-        ledger=Ledger(num_clients=config.num_clients),
-        meter=CommMeter(cost=config.cost_model),
-    )
-    shadow = ClientState(id=-1, model=x0, hessian=identity)
+    replica = ClientState(id=-1, model=x0, hessian=config.initial_hessian(dim))
+    for array in (x0, replica.hessian.diag):
+        array.setflags(write=False)
+    ledger = Ledger(num_clients=config.num_clients)
+    meter = CommMeter(cost=config.cost_model)
     trace = []
     models = [] if keep_models else None
     evals = 0
@@ -456,47 +449,37 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
         for r in range(config.rounds):
             sampled = [int(c) for c in sample_clients(config.num_clients, config.sampled_per_round,
                                                        r, config.sampling_seed)]
-            if transport != "replay":  # the oracles hand the server state over by value
-                shadow = ClientState(id=-1, model=server.model, hessian=server.hessian)
             provider.block(r, shape)  # round r in hand: draw round r + 1 behind this one
             if r + 1 < config.rounds:
                 provider.draw_ahead(r + 1, shape)
-            start = round_start(shadow, r, config, provider)  # step 0, once for all clients
-            missed_counts = [r - server.ledger.last_participation[cid] for cid in sampled]
-            matrices = [client_local_update(replace(shadow, id=cid), r, config, task, provider,
+            start = round_start(replica, r, config, provider)  # step 0, once for all clients
+            missed_counts = [r - ledger.last_participation[cid] for cid in sampled]
+            matrices = [client_local_update(replace(replica, id=cid), r, config, task, provider,
                                             start)
                         for cid in sampled]
             del start  # its (P, d) points are not kept through the round's replay
             evals += len(sampled) * config.tau * (config.perturbations + 1)
             log = server_aggregate(matrices, r, config)
-            ledger = record_round(server.ledger, log, sampled)  # appends in place
+            record_round(ledger, log, sampled)  # appends in place
             if transport == "replay":
-                shadow = client_rebuild(shadow, fetch_since(ledger, shadow.last_round),
-                                        config.eta, provider)
-                for array in (shadow.model, shadow.hessian.diag):
-                    array.setflags(write=False)
-                model, hessian = shadow.model, shadow.hessian
-            elif transport == "direct":
-                model, hessian = _replay(server.model, server.hessian, [log], provider,
-                                         config.eta)
+                replica = client_rebuild(replica, fetch_since(ledger, replica.last_round),
+                                         config.eta, provider)
             else:
-                model, hessian = _average_deltas(server, matrices, r, config, provider)
-            prev_meter = server.meter
-            server = ServerState(
-                model=model,
-                hessian=hessian,
-                ledger=ledger,
-                meter=meter_round(
-                    server.meter, config.sampled_per_round, config.tau,
-                    config.perturbations, missed_counts,
-                ),
-            )
+                advanced = (_replay(replica.model, replica.hessian, [log], provider, config.eta)
+                            if transport == "direct" else
+                            _average_deltas(replica, matrices, r, config, provider))
+                replica = ClientState(-1, *advanced, last_round=r + 1)
+            for array in (replica.model, replica.hessian.diag):
+                array.setflags(write=False)  # shared by the next round's clients; an advance copies
+            prev_meter, meter = meter, meter_round(meter, config.sampled_per_round, config.tau,
+                                                   config.perturbations, missed_counts)
             if keep_models:
-                models.append(model.copy())
-            loss = task.global_loss(model)
+                models.append(replica.model)
+            loss = task.global_loss(replica.model)
             if not np.isfinite(loss):
                 raise EstimatorFailureError(f"global loss diverged at round {r}",
                                             which="global", coords=(r, None, None))
-            trace.append(_trace_record(r, loss, server.meter, prev_meter, hessian, evals,
+            trace.append(_trace_record(r, loss, meter, prev_meter, replica.hessian, evals,
                                        missed_counts, started, truth))
+    server = ServerState(model=replica.model, hessian=replica.hessian, ledger=ledger, meter=meter)
     return RunResult(trace=trace, server=server, models=models)

@@ -27,11 +27,11 @@ from .zo import multi_perturbation_delta, scale_direction
 # --- run specs ----------------------------------------------------------------
 
 _TASK_BUILDERS = (("quadratic", QuadraticTask.build), ("logistic", LogisticTask.build))
-# run-spec name -> RoundConfig attribute; cost_model is built from the bytes_per_* keys
-_ROUND_FIELDS = {SPEC_NAMES.get(f.name, f.name): f.name for f in fields(RoundConfig)
+# run-spec name -> RoundConfig field; cost_model is built from the bytes_per_* keys
+_ROUND_FIELDS = {SPEC_NAMES.get(f.name, f.name): f for f in fields(RoundConfig)
                  if f.name != "cost_model"}
-_REQUIRED_ROUND_FIELDS = [SPEC_NAMES.get(f.name, f.name) for f in fields(RoundConfig)
-                          if f.default is MISSING and f.default_factory is MISSING]
+_ROUND_TYPES = {key: f.type for key, f in _ROUND_FIELDS.items()}
+_ROUND_DEFAULTS = {key: f.default for key, f in _ROUND_FIELDS.items() if f.default is not MISSING}
 
 
 def _check_section(spec: dict, annotations: dict, defaults: dict, section: str):
@@ -61,15 +61,9 @@ def build_round_config(round_spec: dict) -> RoundConfig:
     spec = dict(round_spec)
     cost = WireCostModel(**{key: spec.pop(key) for key in WireCostModel.__annotations__
                             if key in spec})
-    kwargs = {"cost_model": cost}
-    for key, value in spec.items():
-        if key not in _ROUND_FIELDS:
-            raise ConfigError(f"unknown round field {key!r}", field=key)
-        kwargs[_ROUND_FIELDS[key]] = value
-    for key in _REQUIRED_ROUND_FIELDS:
-        if key not in spec:
-            raise ConfigError(f"round needs {key!r}", field=key)
-    return RoundConfig(**kwargs)
+    _check_section(spec, _ROUND_TYPES, _ROUND_DEFAULTS, "round")
+    return RoundConfig(cost_model=cost, **{_ROUND_FIELDS[key].name: value
+                                           for key, value in spec.items()})
 
 
 def load_spec(path: str) -> dict:

@@ -48,8 +48,9 @@ DOMAIN_TASK = 0x27D4EB2F165667C5
 
 # splitmix64's constants and shifts as uint64 scalars, for the array path:
 # a Python-int operand costs every array operation a conversion, and the
-# masks are no-ops on wrapping uint64 arithmetic (on a 2-vCPU x86 VM a
-# 5-seed round grid takes about 32 us this way, 44 us through the int path)
+# masks are no-ops on wrapping uint64 arithmetic. It serves validate_grid (via
+# perturbation_seeds) and QuadraticTask.build's center seeds; a round's own
+# seeds are Python ints (SeedSchedule.round_seeds).
 _SPLITMIX_U64 = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                               0x94D049BB133111EB, 30, 27, 31))
 _ONE_U64 = np.uint64(1)

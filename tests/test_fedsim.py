@@ -747,7 +747,10 @@ def test_drawn_ahead_run_matches_on_demand_draws(monkeypatch, pool):
 @pytest.mark.parametrize("tau", [1, 3])
 def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
     # every client of a round is passed one read-only RoundStart, built once;
-    # its scalars equal those of an update that builds its own
+    # its scalars equal those of an update that builds its own. In every
+    # transport the client is handed the run's one replica: the model the
+    # round before produced (x0 in round 0), and the run's final state is
+    # read-only
     cfg = small_config(num_clients=6, sampled_per_round=3, rounds=5, tau=tau)
     task = small_task(M=6)
     taken, built = [], []
@@ -763,10 +766,14 @@ def test_step_zero_is_built_once_per_round(monkeypatch, transport, tau):
 
     monkeypatch.setattr(fedsim, "round_start", counted)
     monkeypatch.setattr(fedsim, "client_local_update", recorded)
-    run_training(cfg, task, transport=transport)
+    result = run_training(cfg, task, keep_models=True, transport=transport)
     assert built == list(range(cfg.rounds))
+    starts = [task.x0] + result.models[:-1]
+    for array in (result.server.model, result.server.hessian.diag):
+        assert not array.flags.writeable
     provider = DirectionProvider(cfg.schedule(), task.dim)
     for r, client, start in taken:
+        assert client.model.tobytes() == starts[r].tobytes()
         assert not start.points.flags.writeable and start.points.shape == (3, task.dim)
         shared = update(client, r, cfg, task, provider, start)
         own = update(client, r, cfg, task, provider)
