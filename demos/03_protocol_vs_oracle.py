@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Prove the scalar protocol faithful against a full-vector oracle.
 
-The oracle is the same round loop with the "direct" transport: clients
-receive the model and curvature by value, no reset, no replay. If the scalar
+The oracle is the same round loop with the "direct" transport: every
+transport hands the sampled clients the run's one round-start replica, and
+only its advance differs. Under "direct" the replica replays the round's log
+as the server holds it, not as read back from the ledger. If the scalar
 protocol's bookkeeping (ledger, rebuild, reset) is correct, both simulations
 must produce the same server model -- not approximately, BITWISE -- round after
 round, under any participation pattern. This is the strongest statement the

@@ -15,11 +15,11 @@ sampled client: rebuild closure (a client that was absent lands on the state
 of one that never left) makes it the state each of them would rebuild. The
 transports differ only in how that replica advances once a round is
 recorded (see its `transport`). Rebuild and the direct oracle advance state
-through one replay kernel, in place on private copies, with the curvature
-validated once at the kernel boundary. It and the local update share the
-helpers (scale_direction, multi_perturbation_delta, fold_mean, ema_update)
-with fixed fold orders: ascending client id, ascending local step,
-ascending perturbation. A round's directions stay one (tau, P, d) block from
+through one replay kernel, client_rebuild, in place on private copies, with
+the curvature validated once at the kernel boundary. It and the local update
+share the helpers (scale_direction, multi_perturbation_delta, fold_mean,
+ema_update) with fixed fold orders: ascending client id, ascending local
+step, ascending perturbation. A round's directions stay one (tau, P, d) block from
 draw to step, and each step folds its (P, d) raw rows one at a time. That
 discipline is what makes replay, rebuild and the full-vector oracle agree to
 the last bit.
@@ -210,16 +210,26 @@ def _check_curvature(diag, r: int) -> None:
                                     which="curvature", coords=(r, None, None))
 
 
-def _replay(model, hessian, logs, provider, eta):
-    """Advance (model, H) through recorded rounds of global scalars, in place
-    on private copies with three vectors of scratch allocated once per call
-    (no (P, d) block: the fold takes the raw rows one at a time); the
-    curvature is checked once per round and validated once, at the end.
-    Directions use the round-start curvature; the EMA advances once per
-    local step and shows only from the next round on."""
-    model, diag = model.copy(), hessian.diag.copy()
+def client_rebuild(client: ClientState, missed, eta: float,
+                   provider: DirectionProvider) -> ClientState:
+    """Replay missed rounds' global scalars to resynchronize with the server.
+
+    The one replay kernel, run by the protocol's and the direct oracle's
+    advance and by every offline replay: the replica lands bitwise on the
+    server values, as it runs the server's exact arithmetic on the values the
+    ledger stored. It works on private copies with three scratch vectors
+    allocated once per call (the fold takes the raw rows one at a time, no
+    (P, d) block); the curvature is checked once per round and validated at
+    the end. Directions use the round-start curvature; the EMA advances once
+    per local step and shows only from the next round on.
+    """
+    for expected, log in enumerate(missed, start=client.last_round):
+        if log.round != expected:
+            raise ProtocolOrderError(f"rebuild feed has round {log.round}, expected {expected}")
+    hessian = client.hessian
+    model, diag = client.model.copy(), hessian.diag.copy()
     isH, delta, work = (np.empty_like(diag) for _ in range(3))
-    for log in logs:
+    for log in missed:
         inv_sqrt(diag, out=isH)
         directions = provider.block(log.round, log.scalars.shape)
         for k, scalars in enumerate(log.scalars):
@@ -227,22 +237,7 @@ def _replay(model, hessian, logs, provider, eta):
             model -= np.multiply(delta, eta, out=work)
             ema_update(hessian, delta, out=diag, work=work)
         _check_curvature(diag, log.round)
-    return model, replace(hessian, diag=diag)
-
-
-def client_rebuild(client: ClientState, missed, eta: float,
-                   provider: DirectionProvider) -> ClientState:
-    """Replay missed rounds' global scalars to resynchronize with the server.
-
-    After the replay the client's model and curvature replica are bitwise
-    equal to the server values for the current round: replay runs the exact
-    arithmetic the server ran, on the exact values the ledger stored.
-    """
-    for expected, log in enumerate(missed, start=client.last_round):
-        if log.round != expected:
-            raise ProtocolOrderError(f"rebuild feed has round {log.round}, expected {expected}")
-    model, hessian = _replay(client.model, client.hessian, missed, provider, eta)
-    return replace(client, model=model, hessian=hessian,
+    return replace(client, model=model, hessian=replace(hessian, diag=diag),
                    last_round=client.last_round + len(missed))
 
 
@@ -323,8 +318,8 @@ def aggregate_scalars(matrices, quantize: bool = False) -> np.ndarray:
 def server_aggregate(matrices, r: int, config: RoundConfig) -> RoundLog:
     """Round r's log: the checked count and shape of the clients' scalar
     matrices, then their mean (over the modelled 32-bit wire if the config
-    says so). The server's whole job in the protocol; the model advance is
-    the oracles' (_replay, _average_deltas) or a replica's rebuild."""
+    says so). The server's whole job in the protocol; the model advance is a
+    replica's rebuild (client_rebuild) or the natural oracle's _average_deltas."""
     if len(matrices) != config.sampled_per_round:
         raise ProtocolOrderError(
             f"expected {config.sampled_per_round} scalar matrices, got {len(matrices)}"
@@ -337,11 +332,12 @@ def server_aggregate(matrices, r: int, config: RoundConfig) -> RoundLog:
 
 
 def _average_deltas(replica: ClientState, matrices, r: int, config: RoundConfig,
-                    provider: DirectionProvider):
+                    provider: DirectionProvider) -> ClientState:
     """The natural model-averaging server step on the round-start replica:
-    mean of the clients' per-step delta vectors. Mathematically the replay of
-    the mean scalars, but floating-point distinct. Its curvature is checked
-    as _replay's is."""
+    mean of the clients' per-step delta vectors, returned as the replica
+    advanced to round r + 1. Mathematically the replay of the mean scalars,
+    but floating-point distinct. Its curvature is checked as client_rebuild's
+    is."""
     model, diag = replica.model, replica.hessian.diag.copy()
     isH = inv_sqrt(diag)
     directions = provider.block(r, (config.tau, config.perturbations))
@@ -351,7 +347,8 @@ def _average_deltas(replica: ClientState, matrices, r: int, config: RoundConfig,
         model = model - config.eta * delta
         ema_update(replica.hessian, delta, out=diag)
     _check_curvature(diag, r)
-    return model, replace(replica.hessian, diag=diag)
+    return replace(replica, model=model, hessian=replace(replica.hessian, diag=diag),
+                   last_round=r + 1)
 
 
 @dataclass
@@ -400,16 +397,17 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
     round in the ledger and meters it. RunResult.server is built once, after
     the last round, from the final replica, the ledger and the meter.
 
-    "replay": the scalar-only protocol; the replica rebuilds from the ledger
-    over the round just recorded, as any absent client would, so each round
-    is replayed once however many clients return, and no server vector
-    reaches a client. "direct": the full-vector oracle; the server advances
-    the replica through the replay kernel on the round's log as it holds it,
-    not as read back from the ledger, so it must agree with "replay" bitwise
-    in models, ledger, meter and trace (bar wall time); any difference
-    convicts the ledger/rebuild machinery. "natural": the server averages
-    the clients' delta vectors (_average_deltas) instead of replaying the
-    mean scalars; it agrees only to rounding.
+    "replay": the scalar-only protocol; the replica rebuilds (client_rebuild)
+    from the ledger over the round just recorded, as any absent client would,
+    so each round is replayed once however many clients return, and no
+    server vector reaches a client. "direct": the full-vector oracle; the
+    replica rebuilds over the round's log as the server holds it, not as read
+    back from the ledger. record_round appends that very log, so the two
+    differ only in where it is read from, and must agree bitwise in models,
+    ledger, meter and trace (bar wall time); any difference convicts the
+    ledger's bookkeeping (record_round, fetch_since, last_round). "natural":
+    the server averages the clients' delta vectors (_average_deltas) instead
+    of replaying the mean scalars; it agrees only to rounding.
 
     Clients are sampled round by round and every reader asks for directions
     in ascending rounds. As soon as round r's block is in hand the provider
@@ -461,14 +459,11 @@ def run_training(config: RoundConfig, task, keep_models: bool = False,
             evals += len(sampled) * config.tau * (config.perturbations + 1)
             log = server_aggregate(matrices, r, config)
             record_round(ledger, log, sampled)  # appends in place
-            if transport == "replay":
-                replica = client_rebuild(replica, fetch_since(ledger, replica.last_round),
-                                         config.eta, provider)
+            if transport == "natural":
+                replica = _average_deltas(replica, matrices, r, config, provider)
             else:
-                advanced = (_replay(replica.model, replica.hessian, [log], provider, config.eta)
-                            if transport == "direct" else
-                            _average_deltas(replica, matrices, r, config, provider))
-                replica = ClientState(-1, *advanced, last_round=r + 1)
+                feed = fetch_since(ledger, replica.last_round) if transport == "replay" else [log]
+                replica = client_rebuild(replica, feed, config.eta, provider)
             for array in (replica.model, replica.hessian.diag):
                 array.setflags(write=False)  # shared by the next round's clients; an advance copies
             prev_meter, meter = meter, meter_round(meter, config.sampled_per_round, config.tau,

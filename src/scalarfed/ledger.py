@@ -6,7 +6,7 @@ derived from the shared root and cost nothing unless configured otherwise).
 The Ledger is an append-only record of the logs plus each client's last
 participation round, which the run extends in place, one round at a time;
 together with the root seed it fully determines the server model at any
-round, which the simulator's vector oracle verifies bitwise.
+round, which a rebuild from the serialized bytes verifies bitwise.
 """
 
 import struct

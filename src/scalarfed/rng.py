@@ -48,8 +48,8 @@ DOMAIN_TASK = 0x27D4EB2F165667C5
 
 # splitmix64's constants and shifts as uint64 scalars, for the array path:
 # a Python-int operand costs every array operation a conversion, and the
-# masks are no-ops on wrapping uint64 arithmetic. It serves validate_grid (via
-# perturbation_seeds) and QuadraticTask.build's center seeds; a round's own
+# masks are no-ops on wrapping uint64 arithmetic. It serves validate_grid's
+# perturbation_seed grid and QuadraticTask.build's center seeds; a round's own
 # seeds are Python ints (SeedSchedule.round_seeds).
 _SPLITMIX_U64 = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
                                               0x94D049BB133111EB, 30, 27, 31))
@@ -340,22 +340,17 @@ class SeedSchedule:
     def batch_seed(self, client: int, r: int, k: int) -> int:
         return mix(self.root, DOMAIN_BATCH, client, r, k)
 
-    def perturbation_seeds(self, r, tau: int, perturbations: int) -> np.ndarray:
-        """The (tau, P) uint64 grid of perturbation_seed(r, k, p), from one
-        array call, equal to it cell by cell; r is an int, or a uint64 array
-        of rounds shaped (R, 1, 1) for the (R, tau, P) grid."""
-        k = np.arange(tau, dtype=np.uint64)[:, None]
-        return self.perturbation_seed(r, k, np.arange(perturbations, dtype=np.uint64))
-
     def validate_grid(self, rounds: int, tau: int, perturbations: int) -> None:
         """Configuration-time injectivity check over the declared run grid.
 
-        All R x tau x P seeds come from one perturbation_seeds call; a
+        All R x tau x P seeds come from one array perturbation_seed call; a
         collision names the first repeated cell in round-major order.
         """
         shape = (rounds, tau, perturbations)
         r = np.arange(rounds, dtype=np.uint64)[:, None, None]
-        seeds = np.broadcast_to(self.perturbation_seeds(r, tau, perturbations), shape).ravel()
+        k = np.arange(tau, dtype=np.uint64)[:, None]
+        p = np.arange(perturbations, dtype=np.uint64)
+        seeds = np.broadcast_to(self.perturbation_seed(r, k, p), shape).ravel()
         if np.unique(seeds).size == seeds.size:
             return
         repeated = np.ones(seeds.size, dtype=bool)

@@ -12,7 +12,7 @@ from scalarfed import (ClientState, DiagHessian, DirectionProvider, QuadraticTas
                        fetch_since, gaussian_vector, inv_sqrt, run_training,
                        sample_clients, scale_direction, serialize, server_aggregate)
 from scalarfed.errors import ConfigError, EstimatorFailureError, ProtocolOrderError
-from scalarfed.fedsim import _replay, aggregate_scalars
+from scalarfed.fedsim import aggregate_scalars
 from scalarfed.harness import fuzz_config
 from scalarfed.ledger import CommMeter, Ledger, RoundLog
 from scalarfed.rng import mix, start_rows
@@ -321,8 +321,8 @@ def test_vector_oracle_bitwise_and_natural_modes():
 
 @pytest.mark.parametrize("quantize", [False, True])
 def test_direct_transport_matches_replay_bitwise(quantize):
-    # handing state by value must change nothing but the wall time, also when
-    # the 32-bit wire rounds the scalars
+    # rebuilding from the server's log instead of the ledger's must change
+    # nothing but the wall time, also when the 32-bit wire rounds the scalars
     cfg = small_config(rounds=10, quantize_wire=quantize)
     task = small_task()
     replay = run_training(cfg, task, keep_models=True)
@@ -490,6 +490,10 @@ def kernel_setup(tau, P, nu, quantize=True):
     return cfg, provider, server
 
 
+def replica_of(server, last_round=0):
+    return ClientState(id=-1, model=server.model, hessian=server.hessian, last_round=last_round)
+
+
 def uploads(cfg, r):
     """Scalar matrices large enough that delta^2 crosses the upper bound on
     some coordinates, while coordinates near zero stay under the lower one."""
@@ -514,7 +518,8 @@ def test_server_aggregate_rejects_wrong_count_or_shape(bad):
 def test_replay_kernel_matches_out_of_place_reference(tau, P, nu):
     cfg, provider, server = kernel_setup(tau, P, nu)
     log = server_aggregate(uploads(cfg, 0), 0, cfg)
-    model, hessian = _replay(server.model, server.hessian, [log], provider, cfg.eta)
+    out = client_rebuild(replica_of(server), [log], cfg.eta, provider)
+    model, hessian = out.model, out.hessian
     assert np.array_equal(log.scalars, log.scalars.astype(np.float32))  # 32-bit wire
     ref_model, ref_diag = reference_round(server.model, server.hessian, log.scalars, 0,
                                           provider, cfg.eta)
@@ -529,12 +534,13 @@ def test_replay_kernel_matches_out_of_place_reference(tau, P, nu):
 def test_replay_kernel_multi_round_equals_round_by_round(tau, P, nu):
     cfg, provider, server = kernel_setup(tau, P, nu, quantize=False)
     logs = [RoundLog(round=r, scalars=aggregate_scalars(uploads(cfg, r))) for r in range(4)]
-    model, hessian = server.model, server.hessian
+    stepped = replica_of(server)
     for log in logs:
-        model, hessian = _replay(model, hessian, [log], provider, cfg.eta)
-    whole_model, whole_hessian = _replay(server.model, server.hessian, logs, provider, cfg.eta)
-    assert whole_model.tobytes() == model.tobytes()
-    assert whole_hessian.diag.tobytes() == hessian.diag.tobytes()
+        stepped = client_rebuild(stepped, [log], cfg.eta, provider)
+    whole = client_rebuild(replica_of(server), logs, cfg.eta, provider)
+    assert whole.last_round == stepped.last_round == len(logs)
+    assert whole.model.tobytes() == stepped.model.tobytes()
+    assert whole.hessian.diag.tobytes() == stepped.hessian.diag.tobytes()
 
 
 def test_replay_leaves_caller_arrays_untouched(monkeypatch):
@@ -551,7 +557,7 @@ def test_replay_leaves_caller_arrays_untouched(monkeypatch):
         client_rebuild(client, fetch_since(server.ledger, client.last_round), cfg.eta, provider)
     matrices = [np.ones((cfg.tau, cfg.perturbations))] * cfg.sampled_per_round
     log = server_aggregate(matrices, cfg.rounds, cfg)
-    _replay(server.model, server.hessian, [log], provider, cfg.eta)
+    client_rebuild(replica_of(server, cfg.rounds), [log], cfg.eta, provider)
     for a, b in zip(held, before):
         assert a.tobytes() == b.tobytes()
 
@@ -650,9 +656,10 @@ def test_direction_plan_matches_recorded_reads(monkeypatch, transport):
                  if kind == "ahead"]
         assert ahead == [(r, r + 1) for r in range(config.rounds - 1)]
         assert len({id(provider) for _, provider, _, _, _ in requests}) == 1
-        grid = config.schedule().perturbation_seeds(
-            np.arange(config.rounds, dtype=np.uint64)[:, None, None], config.tau,
-            config.perturbations)
+        r = np.arange(config.rounds, dtype=np.uint64)[:, None, None]
+        k = np.arange(config.tau, dtype=np.uint64)[:, None]
+        p = np.arange(config.perturbations, dtype=np.uint64)
+        grid = config.schedule().perturbation_seed(r, k, p)
         assert len(seeds) == len(set(seeds)) == grid.size
         assert set(seeds) == {int(seed) for seed in grid.ravel()}
         one_round = config.tau * config.perturbations * task.dim * 8

@@ -121,15 +121,6 @@ def test_array_perturbation_seeds_equal_scalar_seeds(root):
         assert int(grid[cell]) == sched.perturbation_seed(*cell)
 
 
-@pytest.mark.parametrize("root, r", [(0, 0), (2**64 - 1, 9), (41, 2**40)])
-def test_round_seeds_equal_the_scalar_loop(root, r):
-    sched = SeedSchedule(root=root)
-    seeds = sched.perturbation_seeds(r, 3, 7)
-    assert seeds.shape == (3, 7) and seeds.dtype == np.uint64
-    assert seeds.ravel().tolist() == [sched.perturbation_seed(r, k, p)
-                                      for k in range(3) for p in range(7)]
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 2), (3, 11)])
 @pytest.mark.parametrize("root, r", [(0, 0), (2**64 - 1, 9), (41, 2**40)])
 def test_provider_round_seeds_equal_the_scalar_loop(root, r, shape):
